@@ -13,9 +13,9 @@ import (
 	"fmt"
 
 	"ituaval/internal/core"
+	"ituaval/internal/ituadirect"
 	"ituaval/internal/rng"
 	"ituaval/internal/rsm"
-	"ituaval/internal/rsm/inject"
 )
 
 func params() core.Params {
@@ -33,18 +33,18 @@ func main() {
 	fmt.Printf("topology: %d domains x %d hosts, one app with %d replicas, horizon %gh\n\n",
 		p.NumDomains, p.HostsPerDomain, p.RepsPerApp, T)
 
-	// Part 1: one replication, narrated. The injector drives the attack
+	// Part 1: one replication, narrated. ituadirect's process is the attack
 	// CTMC; its hooks mutate nothing here — we just print them — and after
 	// every event we report the model's improper-service predicate.
 	fmt.Println("one attack trajectory (seed 42):")
-	hooks := inject.Hooks{
+	hooks := ituadirect.Hooks{
 		StartReplica:   func(a, slot, host int) { fmt.Printf("    start replica %d on host %d\n", slot, host) },
 		CorruptReplica: func(a, slot int) { fmt.Printf("    CORRUPT replica %d\n", slot) },
 		ConvictReplica: func(a, slot int) { fmt.Printf("    convict replica %d (script masked)\n", slot) },
 		KillReplica:    func(a, slot int) { fmt.Printf("    kill replica %d\n", slot) },
 		ExcludeHost:    func(host int) { fmt.Printf("    exclude host %d\n", host) },
 	}
-	proc, err := inject.New(p, rng.New(42), hooks)
+	proc, err := ituadirect.NewProcess(p, rng.New(42), ituadirect.Opts{Hooks: hooks})
 	if err != nil {
 		panic(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 	}
 	fmt.Printf("  horizon: Byzantine failure latched: %v\n\n", proc.Byzantine(0))
 
-	// Part 2: the measurement. rsm.Run wires the same injector to live
+	// Part 2: the measurement. rsm.Run wires the same process to live
 	// replicas running Bracha broadcast over the in-process transport, with
 	// a synthetic client probing after every event.
 	fmt.Println("measuring the live service (400 replications)...")

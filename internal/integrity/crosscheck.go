@@ -235,8 +235,8 @@ func CrossCheck(ctx context.Context, p core.Params, o CrossCheckOptions) (*Cross
 	}
 
 	// Optional live arm: the same measures observed on a real replica group
-	// under fault injection. The injector replays the model's stochastic law
-	// against live Bracha-broadcast replicas, so the client's empirical
+	// under fault injection. ituadirect's attack process, stepped with hooks,
+	// drives live Bracha-broadcast replicas, so the client's empirical
 	// unavailability/unreliability estimate the same quantities — and every
 	// probe is additionally checked against the model oracle event-wise.
 	var liveRes *rsm.Result

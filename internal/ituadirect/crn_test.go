@@ -52,11 +52,11 @@ func TestCRNRoleStability(t *testing.T) {
 		host := crnParams(core.HostExclusion)
 		for i := 0; i < seeds; i++ {
 			o := Opts{CRN: crn}
-			sa := newSim(dom, rng.New(900).Derive(uint64(i)), o)
+			sa := newProcess(dom, rng.New(900).Derive(uint64(i)), o)
 			if _, err := sa.run(context.Background(), []float64{4}); err != nil {
 				t.Fatal(err)
 			}
-			sb := newSim(host, rng.New(900).Derive(uint64(i)), o)
+			sb := newProcess(host, rng.New(900).Derive(uint64(i)), o)
 			if _, err := sb.run(context.Background(), []float64{4}); err != nil {
 				t.Fatal(err)
 			}

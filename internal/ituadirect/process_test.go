@@ -1,16 +1,15 @@
-package inject
+package ituadirect
 
 import (
 	"fmt"
 	"testing"
 
 	"ituaval/internal/core"
-	"ituaval/internal/ituadirect"
 	"ituaval/internal/rng"
-	"ituaval/internal/stats"
 )
 
-func smallParams() core.Params {
+// stepParams is the small one-app configuration the stepping tests use.
+func stepParams() core.Params {
 	p := core.DefaultParams()
 	p.NumDomains = 2
 	p.HostsPerDomain = 1
@@ -19,9 +18,9 @@ func smallParams() core.Params {
 	return p
 }
 
-// mirror maintains the cluster's view of app 0 purely from hook calls, so
+// mirror maintains an observer's view of app 0 purely from hook calls, so
 // the test can check that the hook protocol alone reconstructs the
-// injector's state — the property the live cluster depends on.
+// process's member state — the property the live cluster depends on.
 type mirror struct {
 	host      map[int]int
 	corrupt   map[int]bool
@@ -78,18 +77,18 @@ func (m *mirror) check(t *testing.T, s *Process) {
 	t.Helper()
 	members := s.Members(0)
 	if len(members) != len(m.host) {
-		t.Fatalf("mirror has %d members, injector %d", len(m.host), len(members))
+		t.Fatalf("mirror has %d members, process %d", len(m.host), len(members))
 	}
 	undet := 0
 	for _, mem := range members {
 		if h, ok := m.host[mem.Slot]; !ok || h != mem.Host {
-			t.Fatalf("slot %d: mirror host %d (ok=%v), injector host %d", mem.Slot, h, ok, mem.Host)
+			t.Fatalf("slot %d: mirror host %d (ok=%v), process host %d", mem.Slot, h, ok, mem.Host)
 		}
 		if m.corrupt[mem.Slot] != mem.Corrupt {
-			t.Fatalf("slot %d: mirror corrupt %v, injector %v", mem.Slot, m.corrupt[mem.Slot], mem.Corrupt)
+			t.Fatalf("slot %d: mirror corrupt %v, process %v", mem.Slot, m.corrupt[mem.Slot], mem.Corrupt)
 		}
 		if m.convicted[mem.Slot] != mem.Convicted {
-			t.Fatalf("slot %d: mirror convicted %v, injector %v", mem.Slot, m.convicted[mem.Slot], mem.Convicted)
+			t.Fatalf("slot %d: mirror convicted %v, process %v", mem.Slot, m.convicted[mem.Slot], mem.Convicted)
 		}
 		if mem.Corrupt {
 			undet++
@@ -106,18 +105,18 @@ func (m *mirror) check(t *testing.T, s *Process) {
 	}
 }
 
-// The hook protocol must reconstruct the injector's member state exactly
+// The hook protocol must reconstruct the process's member state exactly
 // after every transition, across both exclusion policies.
-func TestInjectHooksMirrorState(t *testing.T) {
+func TestHooksMirrorState(t *testing.T) {
 	for _, policy := range []core.Policy{core.DomainExclusion, core.HostExclusion} {
-		p := smallParams()
+		p := stepParams()
 		p.Policy = policy
 		p.NumDomains = 4
 		p.HostsPerDomain = 2
 		p.RepsPerApp = 4
 		for seed := uint64(1); seed <= 20; seed++ {
 			m := newMirror()
-			s, err := New(p, rng.New(seed), m.hooks())
+			s, err := NewProcess(p, rng.New(seed), Opts{Hooks: m.hooks()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,10 +135,10 @@ func TestInjectHooksMirrorState(t *testing.T) {
 }
 
 // Same seed → identical trajectory (hook trace and final measures).
-func TestInjectDeterministic(t *testing.T) {
+func TestStepDeterministic(t *testing.T) {
 	run := func() (*mirror, *Process) {
 		m := newMirror()
-		s, err := New(smallParams(), rng.New(42), m.hooks())
+		s, err := NewProcess(stepParams(), rng.New(42), Opts{Hooks: m.hooks()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,9 +169,9 @@ func TestInjectDeterministic(t *testing.T) {
 
 // Step must never apply a jump beyond the horizon: the state (and hook
 // trace) after a capped Step is identical to the state before it.
-func TestInjectStepRespectsHorizon(t *testing.T) {
+func TestStepRespectsHorizon(t *testing.T) {
 	m := newMirror()
-	s, err := New(smallParams(), rng.New(9), m.hooks())
+	s, err := NewProcess(stepParams(), rng.New(9), Opts{Hooks: m.hooks()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,79 +189,43 @@ func TestInjectStepRespectsHorizon(t *testing.T) {
 	}
 }
 
-// The injector is a port of ituadirect with a different draw sequence, so
-// the two must agree statistically: 95% CIs on unavailability,
-// unreliability, and excluded-domain fraction overlap on a small config.
-func TestInjectAgreesWithDirect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("statistical comparison")
-	}
-	const (
-		reps = 400
-		T    = 6.0
-	)
-	p := smallParams()
-
-	var injU, injB, injX stats.Accumulator
-	rootI := rng.New(101)
-	for rep := 0; rep < reps; rep++ {
-		s, err := New(p, rootI.Derive(uint64(rep)), Hooks{})
+// The Partition/Heal hooks must track Partitioned exactly, and the repair
+// crew must stay within its bound, with every environment fault enabled.
+func TestEnvironmentHooksMirrorState(t *testing.T) {
+	p := stepParams()
+	p.NumDomains, p.HostsPerDomain, p.RepsPerApp = 4, 2, 4
+	p.PartitionRate, p.PartitionHealRate = 2, 4
+	p.CampaignRate, p.CampaignSize, p.CampaignProb = 0.5, 2, 0.5
+	p.RepairCrew = 1
+	cuts := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		cut := [2]int{-1, -1}
+		s, err := NewProcess(p, rng.New(seed), Opts{Hooks: Hooks{
+			Partition: func(da, db int) { cut = [2]int{da, db}; cuts++ },
+			Heal:      func() { cut = [2]int{-1, -1} },
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		now, bad := 0.0, 0.0
-		for {
-			improper := s.Improper(0)
-			dt, fired := s.Step(T - now)
-			if improper {
-				bad += dt
-			}
+		for now := 0.0; ; {
+			dt, fired := s.Step(6 - now)
 			now += dt
 			if !fired {
 				break
 			}
+			want := [2]int{-1, -1}
+			if da, db, ok := s.Partitioned(); ok {
+				want = [2]int{da, db}
+			}
+			if cut != want {
+				t.Fatalf("seed %d: hooks say cut %v, Partitioned() says %v", seed, cut, want)
+			}
+			if c := s.CrewBusy(); c < 0 || c > p.RepairCrew {
+				t.Fatalf("seed %d: CrewBusy() = %d outside [0, %d]", seed, c, p.RepairCrew)
+			}
 		}
-		injU.Add(bad / T)
-		if s.Byzantine(0) {
-			injB.Add(1)
-		} else {
-			injB.Add(0)
-		}
-		injX.Add(s.FracDomainsExcluded())
 	}
-
-	var dirU, dirB, dirX stats.Accumulator
-	rootD := rng.New(202)
-	for rep := 0; rep < reps; rep++ {
-		res, err := ituadirect.Run(p, rootD.Derive(uint64(rep)), []float64{T})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dirU.Add(res.UnavailTime[0] / T)
-		if res.ByzantineBy[0] {
-			dirB.Add(1)
-		} else {
-			dirB.Add(0)
-		}
-		dirX.Add(res.FracDomainsExcluded[0])
-	}
-
-	for _, c := range []struct {
-		name     string
-		inj, dir stats.Accumulator
-	}{
-		{"unavail", injU, dirU},
-		{"unrel", injB, dirB},
-		{"excl", injX, dirX},
-	} {
-		im, ih := c.inj.Mean(), c.inj.HalfWidth(0.95)
-		dm, dh := c.dir.Mean(), c.dir.HalfWidth(0.95)
-		gap := im - dm
-		if gap < 0 {
-			gap = -gap
-		}
-		if gap > ih+dh {
-			t.Errorf("%s: inject %.4f±%.4f vs direct %.4f±%.4f — CIs disjoint", c.name, im, ih, dm, dh)
-		}
+	if cuts == 0 {
+		t.Fatal("no partition fired; the test has no power")
 	}
 }

@@ -14,7 +14,7 @@ type transition struct {
 }
 
 // collect enumerates every enabled transition in the current state.
-func (s *process) collect(buf []transition) []transition {
+func (s *Process) collect(buf []transition) []transition {
 	buf = buf[:0]
 	p := s.p
 
@@ -32,10 +32,16 @@ func (s *process) collect(buf []transition) []transition {
 					da++
 				}
 				s.partA, s.partB = da, da+1+k
+				if s.h.Partition != nil {
+					s.h.Partition(s.partA, s.partB)
+				}
 			}})
 		} else {
 			buf = append(buf, transition{p.PartitionHealRate, func() {
 				s.partA, s.partB = -1, -1
+				if s.h.Heal != nil {
+					s.h.Heal()
+				}
 			}})
 		}
 	}
@@ -145,6 +151,9 @@ func (s *process) collect(buf []transition) []transition {
 					s.undet[a]++
 					s.intrusions++
 					s.checkByzantine(a)
+					if s.h.CorruptReplica != nil {
+						s.h.CorruptReplica(a, r)
+					}
 				}})
 			}
 
@@ -199,7 +208,7 @@ func (s *process) collect(buf []transition) []transition {
 // campaign corrupts a Binomial(CampaignSize, CampaignProb) batch of
 // uniformly chosen eligible (uncorrupted, unexcluded) hosts in one event,
 // mirroring core's env.campaign activity.
-func (s *process) campaign() {
+func (s *Process) campaign() {
 	var eligible []int
 	for g := range s.hostStatus {
 		if s.hostStatus[g] == 0 && !s.hostExcluded[g] {
@@ -231,16 +240,19 @@ func (s *process) campaign() {
 // immediately if the manager quorum permits; otherwise the response fires
 // as soon as a later event makes the quorum condition true (checked in
 // drainPending).
-func (s *process) convict(a, r int) {
+func (s *Process) convict(a, r int) {
 	if s.repCorrupt[a][r] {
 		s.undet[a]--
 	}
 	s.repConvicted[a][r] = true
+	if s.h.ConvictReplica != nil {
+		s.h.ConvictReplica(a, r)
+	}
 	s.respondIfAble(a, r)
 }
 
 // respondIfAble performs the management response to a convicted replica.
-func (s *process) respondIfAble(a, r int) {
+func (s *Process) respondIfAble(a, r int) {
 	g := s.onHost[a][r]
 	if g < 0 || !s.repConvicted[a][r] {
 		return
@@ -259,7 +271,7 @@ func (s *process) respondIfAble(a, r int) {
 // drainPending retries responses for convicted replicas that were blocked
 // on manager quorum, then lets the repair crew claim any newly serviceable
 // recoveries.
-func (s *process) drainPending() {
+func (s *Process) drainPending() {
 	for a := range s.onHost {
 		for r := range s.onHost[a] {
 			if s.repConvicted[a][r] && s.onHost[a][r] >= 0 {
@@ -273,7 +285,7 @@ func (s *process) drainPending() {
 // drainCrew assigns idle repair-crew members to applications with pending,
 // serviceable recoveries, in app order (mirroring core's instantaneous
 // repair_start activity). At most one crew member serves an app at a time.
-func (s *process) drainCrew() {
+func (s *Process) drainCrew() {
 	if s.p.RepairCrew == 0 {
 		return
 	}
@@ -290,7 +302,7 @@ func (s *process) drainCrew() {
 }
 
 // killSlot removes the replica in slot (a, r) and queues a recovery.
-func (s *process) killSlot(a, r int) {
+func (s *Process) killSlot(a, r int) {
 	if s.onHost[a][r] < 0 {
 		return
 	}
@@ -304,10 +316,13 @@ func (s *process) killSlot(a, r int) {
 	s.running[a]--
 	s.needRec[a]++
 	s.checkByzantine(a)
+	if s.h.KillReplica != nil {
+		s.h.KillReplica(a, r)
+	}
 }
 
 // exclude applies the configured exclusion policy to host g.
-func (s *process) exclude(g int) {
+func (s *Process) exclude(g int) {
 	if s.p.Policy == core.HostExclusion {
 		s.exclEvents++
 		s.exclCorruptFrac += s.hostCorruptFrac(g, g+1)
@@ -330,7 +345,7 @@ func (s *process) exclude(g int) {
 
 // hostCorruptFrac computes the fraction of hosts in [lo, hi) with any
 // corrupt component (OS, manager, or a resident replica).
-func (s *process) hostCorruptFrac(lo, hi int) float64 {
+func (s *Process) hostCorruptFrac(lo, hi int) float64 {
 	corrupt := 0
 	for g := lo; g < hi; g++ {
 		bad := s.hostStatus[g] > 0 || (s.mgrCorrupt[g] && !s.hostExcluded[g])
@@ -352,7 +367,7 @@ func (s *process) hostCorruptFrac(lo, hi int) float64 {
 	return float64(corrupt) / float64(hi-lo)
 }
 
-func (s *process) excludeHost(g int) {
+func (s *Process) excludeHost(g int) {
 	if s.hostExcluded[g] {
 		return
 	}
@@ -366,9 +381,12 @@ func (s *process) excludeHost(g int) {
 			}
 		}
 	}
+	if s.h.ExcludeHost != nil {
+		s.h.ExcludeHost(g)
+	}
 }
 
-func (s *process) qualifyingDomainExists(a int) bool {
+func (s *Process) qualifyingDomainExists(a int) bool {
 	for d := range s.domExcluded {
 		if s.domainQualifies(a, d) {
 			return true
@@ -377,7 +395,7 @@ func (s *process) qualifyingDomainExists(a int) bool {
 	return false
 }
 
-func (s *process) domainQualifies(a, d int) bool {
+func (s *Process) domainQualifies(a, d int) bool {
 	if s.domExcluded[d] || s.hasReplica(a, d) {
 		return false
 	}
@@ -392,7 +410,7 @@ func (s *process) domainQualifies(a, d int) bool {
 
 // recover places one replacement replica of app a on a uniformly chosen
 // qualifying domain and a uniformly chosen live host within it.
-func (s *process) recover(a int) {
+func (s *Process) recover(a int) {
 	var doms []int
 	for d := range s.domExcluded {
 		if s.domainQualifies(a, d) {
@@ -409,15 +427,63 @@ func (s *process) recover(a int) {
 			s.onHost[a][r] = g
 			s.running[a]++
 			s.needRec[a]--
+			if s.h.StartReplica != nil {
+				s.h.StartReplica(a, r, g)
+			}
 			return
 		}
 	}
 	panic("ituadirect: no free slot during recovery")
 }
 
-// run executes the SSA loop up to the last horizon. It polls ctx every 256
+// Step samples the next exponential jump. If it lands within maxDt, the
+// transition is applied (the state visible through the accessors and hooks
+// is then the post-jump state) and Step returns the sojourn time with
+// fired = true. If the jump lands beyond maxDt — or the process is absorbed
+// with nothing enabled — no transition is applied and Step returns
+// (maxDt, false): the state is unchanged through maxDt, and state beyond
+// the horizon is never touched.
+func (s *Process) Step(maxDt float64) (dt float64, fired bool) {
+	if dt, fired = s.step(func(dt float64) bool { return dt <= maxDt }); !fired {
+		return maxDt, false
+	}
+	return dt, true
+}
+
+// step samples the next jump and applies it if within accepts its sojourn
+// time dt; otherwise (or when absorbed) the state is left untouched and
+// fired is false. Step and run differ only in their within rule.
+func (s *Process) step(within func(dt float64) bool) (dt float64, fired bool) {
+	s.buf = s.collect(s.buf)
+	total := 0.0
+	for _, tr := range s.buf {
+		total += tr.rate
+	}
+	if total <= 0 {
+		return 0, false
+	}
+	dt = s.timeRand().Expo(total)
+	if !within(dt) {
+		return dt, false
+	}
+	u := s.selectRand().Float64() * total
+	acc := 0.0
+	idx := len(s.buf) - 1
+	for i, tr := range s.buf {
+		acc += tr.rate
+		if u < acc {
+			idx = i
+			break
+		}
+	}
+	s.buf[idx].apply()
+	s.drainPending()
+	return dt, true
+}
+
+// run steps the process up to the last horizon. It polls ctx every 256
 // events so cancellation cannot be starved by a high-rate configuration.
-func (s *process) run(ctx context.Context, horizons []float64) (Result, error) {
+func (s *Process) run(ctx context.Context, horizons []float64) (Result, error) {
 	last := horizons[len(horizons)-1]
 	res := Result{
 		UnavailTime:         make([]float64, len(horizons)),
@@ -428,12 +494,10 @@ func (s *process) run(ctx context.Context, horizons []float64) (Result, error) {
 	cum := 0.0 // improper-service time of app 0 accumulated so far
 	next := 0  // next horizon index to close out
 	events := 0
-	var buf []transition
 
-	// record advances time to upto with the state (hence the improper
-	// indicator) constant over (now, upto], snapshotting at any horizons
-	// crossed.
-	record := func(upto float64, improperNow, byz bool) {
+	// record advances time to upto with the state (hence the measures)
+	// constant over (now, upto], snapshotting at any horizons crossed.
+	record := func(upto float64, improperNow, byz bool, frac float64) {
 		for next < len(horizons) && horizons[next] <= upto {
 			h := horizons[next]
 			c := cum
@@ -442,7 +506,7 @@ func (s *process) run(ctx context.Context, horizons []float64) (Result, error) {
 			}
 			res.UnavailTime[next] = c
 			res.ByzantineBy[next] = byz
-			res.FracDomainsExcluded[next] = s.fracDomainsExcluded()
+			res.FracDomainsExcluded[next] = frac
 			next++
 		}
 		if improperNow {
@@ -451,48 +515,26 @@ func (s *process) run(ctx context.Context, horizons []float64) (Result, error) {
 		now = upto
 	}
 
+	// A jump fires only if it lands strictly before the last horizon.
+	beforeLast := func(dt float64) bool { return now+dt < last }
 	for {
 		if events++; events&255 == 0 {
 			if err := ctx.Err(); err != nil {
 				return Result{}, err
 			}
 		}
-		buf = s.collect(buf)
-		total := 0.0
-		for _, tr := range buf {
-			total += tr.rate
+		improper, byz, frac := s.Improper(0), s.grpFail[0], s.FracDomainsExcluded()
+		dt, fired := s.step(beforeLast)
+		if !fired {
+			break // absorbed, or the next jump lands at or past the horizon
 		}
-		if total <= 0 {
-			break // absorbed: state frozen until the last horizon
-		}
-		dt := s.timeRand().Expo(total)
-		t := now + dt
-		improper := s.improper(0)
-		byz := s.grpFail[0]
-		if t >= last {
-			record(last, improper, byz)
-			break
-		}
-		record(t, improper, byz)
-		// choose the transition
-		u := s.selectRand().Float64() * total
-		acc := 0.0
-		idx := len(buf) - 1
-		for i, tr := range buf {
-			acc += tr.rate
-			if u < acc {
-				idx = i
-				break
-			}
-		}
-		buf[idx].apply()
-		s.drainPending()
+		record(now+dt, improper, byz, frac)
 	}
-	// absorbed (or finished): close out remaining horizons
-	record(last, s.improper(0), s.grpFail[0])
+	// The state is frozen from now to the last horizon.
+	record(last, s.Improper(0), s.grpFail[0], s.FracDomainsExcluded())
 	for next < len(horizons) {
 		res.ByzantineBy[next] = s.grpFail[0]
-		res.FracDomainsExcluded[next] = s.fracDomainsExcluded()
+		res.FracDomainsExcluded[next] = s.FracDomainsExcluded()
 		next++
 	}
 	if s.exclEvents > 0 {
@@ -502,17 +544,4 @@ func (s *process) run(ctx context.Context, horizons []float64) (Result, error) {
 	}
 	res.RunningAtEnd = s.running[0]
 	return res, nil
-}
-
-func (s *process) fracDomainsExcluded() float64 {
-	if s.p.Policy == core.HostExclusion {
-		return 0
-	}
-	n := 0
-	for _, e := range s.domExcluded {
-		if e {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.domExcluded))
 }

@@ -9,6 +9,13 @@
 //
 // Because every timer in the ITUA model is exponential, the process is a
 // CTMC and the SSA (total-rate jump sampling) is exact.
+//
+// The process is also exported as a steppable Process with lifecycle Hooks,
+// and that is how the live arm (internal/rsm) drives real replicas: it
+// reuses this attack law rather than re-implementing it. The live arm's
+// independence from the model comes from what the hooks act on — real
+// replicas running Bracha agreement over a lossy, partitionable transport
+// and probed by a client — not from a second copy of the attack process.
 package ituadirect
 
 import (
@@ -33,12 +40,59 @@ type Opts struct {
 	// Results stay deterministic for a fixed seed but are not
 	// bit-compatible with single-stream runs of the same seed.
 	CRN bool
+	// Hooks are notified of replica lifecycle events as the process
+	// evolves. Calling them draws no random numbers, so setting them
+	// never changes the trajectory.
+	Hooks Hooks
 }
 
-// sim holds the explicit entity state of one replication. Time is in hours.
-type process struct {
+// Hooks notifies an observer (the live cluster) of replica lifecycle events
+// as the attack process evolves. Nil hooks are skipped. Host indices are
+// flattened g = domain*HostsPerDomain + host, replica slots are
+// per-application.
+type Hooks struct {
+	// StartReplica fires when app's slot is (re)placed on host, at
+	// construction time and on recovery.
+	StartReplica func(app, slot, host int)
+	// CorruptReplica fires when an attack corrupts app's slot.
+	CorruptReplica func(app, slot int)
+	// ConvictReplica fires when the group or the IDS convicts app's slot,
+	// possibly before the management response (KillReplica) can run: the
+	// model then counts the member as running and non-Byzantine, so the
+	// live group masks its Byzantine script until the kill lands.
+	ConvictReplica func(app, slot int)
+	// KillReplica fires when the management response removes app's slot
+	// (conviction response or host exclusion).
+	KillReplica func(app, slot int)
+	// ExcludeHost fires when host g is excluded from the system.
+	ExcludeHost func(host int)
+	// Partition fires when the environment severs domains domA and domB
+	// (at most one partition is active at a time); the live transport
+	// should drop traffic between hosts of the two domains.
+	Partition func(domA, domB int)
+	// Heal fires when the active partition heals; the live transport
+	// should restore all links.
+	Heal func()
+}
+
+// Member is one placed replica of an application.
+type Member struct {
+	Slot int // replica slot index
+	Host int // flattened host index
+	// Corrupt: the replica is corrupt and undetected (counts toward undet).
+	Corrupt bool
+	// Convicted: the group/IDS convicted it but the management response is
+	// still pending (blocked on manager quorum). The live group quarantines
+	// convicted members.
+	Convicted bool
+}
+
+// Process is one replication of the attack CTMC: the explicit entity state,
+// advanced one exponential jump at a time with Step. Time is in hours.
+type Process struct {
 	p  core.Params
 	rs *rng.Stream
+	h  Hooks
 
 	// CRN role substreams (nil when disabled): see Opts.CRN. Entity roles
 	// are keyed by stable names ("host[g]", "mgr[g]", "app[a].rep[r]",
@@ -83,7 +137,10 @@ type process struct {
 	running []int
 	undet   []int
 	grpFail []bool
-	needRec []int
+	// grpFailBlocked records, per app, whether grpFail latched while the
+	// partition isolated the group (see ByzantineBlocked).
+	grpFailBlocked []bool
+	needRec        []int
 
 	exclEvents      int
 	exclCorruptFrac float64 // sum of per-exclusion corrupt fractions
@@ -96,6 +153,8 @@ type process struct {
 	partA, partB int
 	inService    []bool
 	crewBusy     int
+
+	buf []transition // enabled transitions, reused across steps
 }
 
 // Result collects one replication's measures for the measured application
@@ -145,32 +204,43 @@ func RunContextOpts(ctx context.Context, p core.Params, seed *rng.Stream, horizo
 	if len(horizons) == 0 {
 		return Result{}, fmt.Errorf("ituadirect: no horizons")
 	}
-	s := newSim(p, seed, o)
-	return s.run(ctx, horizons)
+	return newProcess(p, seed, o).run(ctx, horizons)
 }
 
-func newSim(p core.Params, rs *rng.Stream, o Opts) *process {
+// NewProcess validates p and builds the process in its initial state
+// (replicas placed, no corruption), firing StartReplica for every initial
+// placement. With Opts.CRN off it draws from rs exactly as Run does, so a
+// Process stepped to a horizon follows Run's trajectory for the same stream.
+func NewProcess(p core.Params, rs *rng.Stream, o Opts) (*Process, error) {
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("ituadirect: %w", err)
+	}
+	return newProcess(p, rs, o), nil
+}
+
+func newProcess(p core.Params, rs *rng.Stream, o Opts) *Process {
 	D, H, A, R := p.NumDomains, p.HostsPerDomain, p.NumApps, p.RepsPerApp
 	n := D * H
-	s := &process{
-		p: p, rs: rs,
-		hostStatus:   make([]int, n),
-		hostExcluded: make([]bool, n),
-		hostDetected: make([]bool, n),
-		propDomDone:  make([]bool, n),
-		propSysDone:  make([]bool, n),
-		mgrCorrupt:   make([]bool, n),
-		mgrRemoved:   make([]bool, n),
-		mgrDetected:  make([]bool, n),
-		domExcluded:  make([]bool, D),
-		spreadDom:    make([]int, D),
-		running:      make([]int, A),
-		undet:        make([]int, A),
-		grpFail:      make([]bool, A),
-		needRec:      make([]int, A),
-		partA:        -1,
-		partB:        -1,
-		inService:    make([]bool, A),
+	s := &Process{
+		p: p, rs: rs, h: o.Hooks,
+		hostStatus:     make([]int, n),
+		hostExcluded:   make([]bool, n),
+		hostDetected:   make([]bool, n),
+		propDomDone:    make([]bool, n),
+		propSysDone:    make([]bool, n),
+		mgrCorrupt:     make([]bool, n),
+		mgrRemoved:     make([]bool, n),
+		mgrDetected:    make([]bool, n),
+		domExcluded:    make([]bool, D),
+		spreadDom:      make([]int, D),
+		running:        make([]int, A),
+		undet:          make([]int, A),
+		grpFail:        make([]bool, A),
+		grpFailBlocked: make([]bool, A),
+		needRec:        make([]int, A),
+		partA:          -1,
+		partB:          -1,
+		inService:      make([]bool, A),
 	}
 	// Per-entity rates: recompute the same division core.Params performs,
 	// but independently (from the documented semantics, not shared code
@@ -242,61 +312,139 @@ func newSim(p core.Params, rs *rng.Stream, o Opts) *process {
 			k = D
 		}
 		for i := 0; i < k; i++ {
-			s.onHost[a][i] = s.chooseHost(initStream, perm[i])
+			g := s.chooseHost(initStream, perm[i])
+			s.onHost[a][i] = g
 			s.running[a]++
+			if s.h.StartReplica != nil {
+				s.h.StartReplica(a, i, g)
+			}
 		}
 	}
 	return s
 }
 
-func (s *process) domainOf(g int) int { return g / s.p.HostsPerDomain }
+// Members returns app a's placed replicas in slot order: the group the live
+// service runs, including convicted-pending (quarantined) members.
+func (s *Process) Members(a int) []Member {
+	var out []Member
+	for r, g := range s.onHost[a] {
+		if g < 0 {
+			continue
+		}
+		out = append(out, Member{
+			Slot:      r,
+			Host:      g,
+			Corrupt:   s.repCorrupt[a][r] && !s.repConvicted[a][r],
+			Convicted: s.repConvicted[a][r],
+		})
+	}
+	return out
+}
+
+// Running returns the number of placed replicas of app a (the model's
+// replicas_running, which still counts convicted-pending members).
+func (s *Process) Running(a int) int { return s.running[a] }
+
+// Undet returns the number of corrupt undetected replicas of app a.
+func (s *Process) Undet(a int) int { return s.undet[a] }
+
+// Improper is the model's unavailability predicate for app a in the current
+// state: at least one third of the running replicas corrupt undetected
+// (vacuously true with zero replicas running), or the active partition
+// isolating the whole replica group across the cut.
+func (s *Process) Improper(a int) bool {
+	return 3*s.undet[a] >= s.running[a] || s.partitionIsolated(a)
+}
+
+// Byzantine reports whether app a has latched the model's Byzantine-failure
+// flag (undetected corrupt replicas reached one third while nonzero).
+func (s *Process) Byzantine(a int) bool { return s.grpFail[a] }
+
+// ByzantineBlocked reports whether app a's Byzantine latch fired while the
+// partition isolated the group. The model latches on corruption share
+// alone, but in that geometry the colluders cannot reach the correct
+// replicas to force a forged delivery, so a live service may legitimately
+// never certify a wrong answer — the one environment-induced case where the
+// model's unreliability bounds the measured value from above instead of
+// equalling it.
+func (s *Process) ByzantineBlocked(a int) bool { return s.grpFailBlocked[a] }
+
+// Partitioned returns the severed domain pair of the active partition, or
+// ok = false while the network is healed.
+func (s *Process) Partitioned() (domA, domB int, ok bool) {
+	if s.partA < 0 {
+		return 0, 0, false
+	}
+	return s.partA, s.partB, true
+}
+
+// CrewBusy returns the number of claimed repair-crew members (always zero
+// with Params.RepairCrew == 0, i.e. unbounded repair capacity).
+func (s *Process) CrewBusy() int { return s.crewBusy }
+
+// FracDomainsExcluded is the model's excluded-domain fraction measure
+// (zero under host exclusion, as in the paper).
+func (s *Process) FracDomainsExcluded() float64 {
+	if s.p.Policy == core.HostExclusion {
+		return 0
+	}
+	n := 0
+	for _, e := range s.domExcluded {
+		if e {
+			n++
+		}
+	}
+	return float64(n) / float64(len(s.domExcluded))
+}
+
+func (s *Process) domainOf(g int) int { return g / s.p.HostsPerDomain }
 
 // The *Rand accessors return the stream a given stochastic role draws from:
 // its own substream under CRN, the single replication stream otherwise.
 
-func (s *process) hostRand(g int) *rng.Stream {
+func (s *Process) hostRand(g int) *rng.Stream {
 	if s.crn {
 		return s.hostRoles[g]
 	}
 	return s.rs
 }
 
-func (s *process) mgrRand(g int) *rng.Stream {
+func (s *Process) mgrRand(g int) *rng.Stream {
 	if s.crn {
 		return s.mgrRoles[g]
 	}
 	return s.rs
 }
 
-func (s *process) repRand(a, r int) *rng.Stream {
+func (s *Process) repRand(a, r int) *rng.Stream {
 	if s.crn {
 		return s.repRoles[a][r]
 	}
 	return s.rs
 }
 
-func (s *process) recRand(a int) *rng.Stream {
+func (s *Process) recRand(a int) *rng.Stream {
 	if s.crn {
 		return s.recRoles[a]
 	}
 	return s.rs
 }
 
-func (s *process) timeRand() *rng.Stream {
+func (s *Process) timeRand() *rng.Stream {
 	if s.crn {
 		return s.timeStream
 	}
 	return s.rs
 }
 
-func (s *process) selectRand() *rng.Stream {
+func (s *Process) selectRand() *rng.Stream {
 	if s.crn {
 		return s.selectStream
 	}
 	return s.rs
 }
 
-func (s *process) envRand() *rng.Stream {
+func (s *Process) envRand() *rng.Stream {
 	if s.crn {
 		return s.envStream
 	}
@@ -304,7 +452,7 @@ func (s *process) envRand() *rng.Stream {
 }
 
 // hostLoad counts the replicas currently running on host g.
-func (s *process) hostLoad(g int) int {
+func (s *Process) hostLoad(g int) int {
 	n := 0
 	for a := range s.onHost {
 		for _, h := range s.onHost[a] {
@@ -318,7 +466,7 @@ func (s *process) hostLoad(g int) int {
 
 // chooseHost picks a live host of domain d per the placement strategy,
 // mirroring core's semantics, drawing from the caller's role stream.
-func (s *process) chooseHost(rs *rng.Stream, d int) int {
+func (s *Process) chooseHost(rs *rng.Stream, d int) int {
 	H := s.p.HostsPerDomain
 	var hostsUp []int
 	for h := 0; h < H; h++ {
@@ -347,7 +495,7 @@ func (s *process) chooseHost(rs *rng.Stream, d int) int {
 }
 
 // hasReplica reports whether app a has a running replica in domain d.
-func (s *process) hasReplica(a, d int) bool {
+func (s *Process) hasReplica(a, d int) bool {
 	for _, g := range s.onHost[a] {
 		if g >= 0 && s.domainOf(g) == d {
 			return true
@@ -356,7 +504,7 @@ func (s *process) hasReplica(a, d int) bool {
 	return false
 }
 
-func (s *process) mgrsRunning() int {
+func (s *Process) mgrsRunning() int {
 	n := 0
 	for g := range s.mgrRemoved {
 		if !s.hostExcluded[g] {
@@ -366,7 +514,7 @@ func (s *process) mgrsRunning() int {
 	return n
 }
 
-func (s *process) undetMgrs() int {
+func (s *Process) undetMgrs() int {
 	n := 0
 	for g := range s.mgrCorrupt {
 		if s.mgrCorrupt[g] && !s.hostExcluded[g] {
@@ -376,7 +524,7 @@ func (s *process) undetMgrs() int {
 	return n
 }
 
-func (s *process) globalQuorumOK() bool {
+func (s *Process) globalQuorumOK() bool {
 	// An active partition blocks the system-wide management quorum (the
 	// same conservative reading as core: no global majority view while
 	// any two domains cannot talk).
@@ -388,11 +536,11 @@ func (s *process) globalQuorumOK() bool {
 
 // cutsDomain reports whether domain d is on either side of the active
 // partition.
-func (s *process) cutsDomain(d int) bool {
+func (s *Process) cutsDomain(d int) bool {
 	return s.partA >= 0 && (d == s.partA || d == s.partB)
 }
 
-func (s *process) domainGroupOK(d int) bool {
+func (s *Process) domainGroupOK(d int) bool {
 	H := s.p.HostsPerDomain
 	up, corrupt := 0, 0
 	for h := 0; h < H; h++ {
@@ -407,14 +555,12 @@ func (s *process) domainGroupOK(d int) bool {
 	return 3*corrupt < up
 }
 
-func (s *process) improper(a int) bool {
-	if 3*s.undet[a] >= s.running[a] {
-		return true
-	}
-	// A partition makes service improper when the whole replica group
-	// straddles the cut: every running replica is in one of the severed
-	// domains with at least one on each side, so no relay path exists and
-	// neither side holds a response majority (mirrors core.Model.Improper).
+// partitionIsolated reports whether the active partition splits app a's
+// placed replicas across the cut with none outside it: every running
+// replica is in one of the severed domains with at least one on each side,
+// so no relay path exists and neither side holds a response majority
+// (mirrors core.Model.Improper).
+func (s *Process) partitionIsolated(a int) bool {
 	if s.partA < 0 {
 		return false
 	}
@@ -435,20 +581,21 @@ func (s *process) improper(a int) bool {
 	return sawA && sawB
 }
 
-func (s *process) checkByzantine(a int) {
-	if s.undet[a] > 0 && 3*s.undet[a] >= s.running[a] {
+func (s *Process) checkByzantine(a int) {
+	if s.undet[a] > 0 && 3*s.undet[a] >= s.running[a] && !s.grpFail[a] {
 		s.grpFail[a] = true
+		s.grpFailBlocked[a] = s.partitionIsolated(a)
 	}
 }
 
 // spreadBoost is the linear rate increase on host-OS attacks in domain d.
-func (s *process) spreadBoost(d int) float64 {
+func (s *Process) spreadBoost(d int) float64 {
 	return s.p.SpreadRateCoeff * (s.p.DomainSpreadRate*float64(s.spreadDom[d]) +
 		s.p.SystemSpreadRate*float64(s.spreadSys))
 }
 
 // assetBoost is the linear rate increase on replica/manager attacks from
 // intra-domain spread.
-func (s *process) assetBoost(d int) float64 {
+func (s *Process) assetBoost(d int) float64 {
 	return s.p.AssetSpreadCoeff * s.p.DomainSpreadRate * float64(s.spreadDom[d])
 }

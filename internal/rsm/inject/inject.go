@@ -1,811 +1,26 @@
-// Package inject drives the ITUA model's stochastic attack process against
-// a live replicated service. It is a faithful port of the continuous-time
-// simulation in internal/ituadirect — attack arrivals per core.Params rates,
-// probabilistic intrusion detection, intra-domain and system-wide spread,
-// host/domain exclusion under both management policies, and recovery-driven
-// replica restart — re-expressed as a steppable process with lifecycle
-// hooks, so the same stochastic law that the SAN and ituadirect evaluate
-// analytically/by simulation can corrupt, kill, and restart real replicas
-// (internal/rsm) between client probes.
-//
-// The port preserves the model's semantics (transition guards, rates, and
-// state updates) but not its random-draw sequence: agreement with the model
-// is established statistically (CI overlap, internal/integrity's fourth
-// arm) and event-wise by the predicate oracle (Improper/Byzantine), not by
-// bit-identical trajectories.
+// Package inject is a compatibility shim: the live arm's attack process is
+// ituadirect.Process, stepped with lifecycle hooks (see internal/rsm). This
+// package only aliases those names, and is kept because the benchmark
+// harness (perfbench) replays the injector through inject.New and
+// inject.Hooks.
 package inject
 
 import (
-	"fmt"
-
 	"ituaval/internal/core"
+	"ituaval/internal/ituadirect"
 	"ituaval/internal/rng"
 )
 
-// Hooks notifies the live cluster of replica lifecycle events as the attack
-// process evolves. Nil hooks are skipped. Host indices are flattened
-// g = domain*HostsPerDomain + host, replica slots are per-application.
-type Hooks struct {
-	// StartReplica fires when app's slot is (re)placed on host, at
-	// construction time and on recovery.
-	StartReplica func(app, slot, host int)
-	// CorruptReplica fires when an attack corrupts app's slot.
-	CorruptReplica func(app, slot int)
-	// ConvictReplica fires when the group or the IDS convicts app's slot,
-	// possibly before the management response (KillReplica) can run: the
-	// model then counts the member as running and non-Byzantine, so the
-	// live group masks its Byzantine script until the kill lands.
-	ConvictReplica func(app, slot int)
-	// KillReplica fires when the management response removes app's slot
-	// (conviction response or host exclusion).
-	KillReplica func(app, slot int)
-	// ExcludeHost fires when host g is excluded from the system.
-	ExcludeHost func(host int)
-	// Partition fires when the environment severs domains domA and domB
-	// (at most one partition is active at a time); the live transport
-	// should drop traffic between hosts of the two domains.
-	Partition func(domA, domB int)
-	// Heal fires when the active partition heals; the live transport
-	// should restore all links.
-	Heal func()
-}
+type (
+	// Process is ituadirect.Process.
+	Process = ituadirect.Process
+	// Hooks is ituadirect.Hooks.
+	Hooks = ituadirect.Hooks
+	// Member is ituadirect.Member.
+	Member = ituadirect.Member
+)
 
-// Member is the injector's view of one placed replica of an application.
-type Member struct {
-	Slot int // replica slot index
-	Host int // flattened host index
-	// Corrupt: the replica is corrupt and undetected (counts toward undet).
-	Corrupt bool
-	// Convicted: the group/IDS convicted it but the management response is
-	// still pending (blocked on manager quorum). The live group quarantines
-	// convicted members.
-	Convicted bool
-}
-
-// Process is one replication of the attack CTMC, advanced one exponential
-// jump at a time with Step.
-type Process struct {
-	p  core.Params
-	rs *rng.Stream
-	h  Hooks
-
-	hostRate, repRate, mgrRate  float64
-	hostFalseRate, repFalseRate float64
-	pClass                      [3]float64
-	detectClass                 [3]float64
-
-	hostStatus   []int
-	hostExcluded []bool
-	hostDetected []bool
-	propDomDone  []bool
-	propSysDone  []bool
-	mgrCorrupt   []bool
-	mgrRemoved   []bool
-	mgrDetected  []bool
-
-	domExcluded []bool
-	spreadDom   []int
-	spreadSys   int
-	intrusions  int
-
-	onHost       [][]int
-	repCorrupt   [][]bool
-	repConvicted [][]bool
-	repDetected  [][]bool
-
-	running []int
-	undet   []int
-	grpFail []bool
-	// grpFailBlocked records, per app, whether grpFail latched while the
-	// partition isolated the group (partitionIsolated): in that state the
-	// model declares Byzantine failure on corruption share alone, but no
-	// forged quorum can actually form live until the cut heals.
-	grpFailBlocked []bool
-	needRec        []int
-
-	// Environment faults, mirroring ituadirect: partA/partB are the
-	// severed domains of the single active partition (-1 = healed);
-	// inService[a] is true while a repair-crew member serves app a, and
-	// crewBusy = Σ inService <= Params.RepairCrew.
-	partA, partB int
-	inService    []bool
-	crewBusy     int
-
-	buf []transition
-}
-
-type transition struct {
-	rate  float64
-	apply func()
-}
-
-// New builds the process in its initial state (replicas placed, no
-// corruption) and fires StartReplica for every initial placement.
+// New is ituadirect.NewProcess with the given hooks and no other options.
 func New(p core.Params, rs *rng.Stream, h Hooks) (*Process, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("inject: %w", err)
-	}
-	D, H, A, R := p.NumDomains, p.HostsPerDomain, p.NumApps, p.RepsPerApp
-	n := D * H
-	s := &Process{
-		p: p, rs: rs, h: h,
-		hostStatus:     make([]int, n),
-		hostExcluded:   make([]bool, n),
-		hostDetected:   make([]bool, n),
-		propDomDone:    make([]bool, n),
-		propSysDone:    make([]bool, n),
-		mgrCorrupt:     make([]bool, n),
-		mgrRemoved:     make([]bool, n),
-		mgrDetected:    make([]bool, n),
-		domExcluded:    make([]bool, D),
-		spreadDom:      make([]int, D),
-		running:        make([]int, A),
-		undet:          make([]int, A),
-		grpFail:        make([]bool, A),
-		grpFailBlocked: make([]bool, A),
-		needRec:        make([]int, A),
-		partA:          -1,
-		partB:          -1,
-		inService:      make([]bool, A),
-	}
-	wSum := p.AttackSplitHost + p.AttackSplitReplica + p.AttackSplitMgr
-	hosts := float64(n)
-	if p.RateBaseHosts > 0 {
-		hosts = float64(p.RateBaseHosts)
-	}
-	replicas := float64(p.NumApps * p.InitialGroupSize())
-	if p.RateBaseReplicas > 0 {
-		replicas = float64(p.RateBaseReplicas)
-	}
-	s.hostRate = p.TotalAttackRate * p.AttackSplitHost / wSum / hosts
-	s.repRate = p.TotalAttackRate * p.AttackSplitReplica / wSum / replicas
-	s.mgrRate = p.TotalAttackRate * p.AttackSplitMgr / wSum / hosts
-	fSum := p.FalseSplitHost + p.FalseSplitReplica
-	s.hostFalseRate = p.TotalFalseAlarmRate * p.FalseSplitHost / fSum / hosts
-	s.repFalseRate = p.TotalFalseAlarmRate * p.FalseSplitReplica / fSum / replicas
-	s.pClass = [3]float64{p.PScript, p.PExploratory, p.PInnovative}
-	s.detectClass = [3]float64{p.DetectScript, p.DetectExploratory, p.DetectInnovative}
-
-	s.onHost = make([][]int, A)
-	s.repCorrupt = make([][]bool, A)
-	s.repConvicted = make([][]bool, A)
-	s.repDetected = make([][]bool, A)
-	perm := make([]int, D)
-	for a := 0; a < A; a++ {
-		s.onHost[a] = make([]int, R)
-		for r := range s.onHost[a] {
-			s.onHost[a][r] = -1
-		}
-		s.repCorrupt[a] = make([]bool, R)
-		s.repConvicted[a] = make([]bool, R)
-		s.repDetected[a] = make([]bool, R)
-		rs.Perm(perm)
-		k := p.InitialGroupSize()
-		for i := 0; i < k; i++ {
-			g := s.chooseHost(perm[i])
-			s.onHost[a][i] = g
-			s.running[a]++
-			if s.h.StartReplica != nil {
-				s.h.StartReplica(a, i, g)
-			}
-		}
-	}
-	return s, nil
-}
-
-// Step samples the next exponential jump. If it lands within maxDt, the
-// transition is applied (the state visible through the accessors and hooks
-// is then the post-jump state) and Step returns the sojourn time with
-// fired = true. If the jump lands beyond maxDt — or the process is absorbed
-// with nothing enabled — no transition is applied and Step returns
-// (maxDt, false): the state is unchanged through maxDt. Like the model's
-// simulators, state beyond the horizon is never touched.
-func (s *Process) Step(maxDt float64) (dt float64, fired bool) {
-	s.buf = s.collect(s.buf)
-	total := 0.0
-	for _, tr := range s.buf {
-		total += tr.rate
-	}
-	if total <= 0 {
-		return maxDt, false
-	}
-	dt = s.rs.Expo(total)
-	if dt > maxDt {
-		return maxDt, false
-	}
-	u := s.rs.Float64() * total
-	acc := 0.0
-	idx := len(s.buf) - 1
-	for i, tr := range s.buf {
-		acc += tr.rate
-		if u < acc {
-			idx = i
-			break
-		}
-	}
-	s.buf[idx].apply()
-	s.drainPending()
-	return dt, true
-}
-
-// Members returns app a's placed replicas in slot order: the group the live
-// service runs, including convicted-pending (quarantined) members.
-func (s *Process) Members(a int) []Member {
-	var out []Member
-	for r, g := range s.onHost[a] {
-		if g < 0 {
-			continue
-		}
-		out = append(out, Member{
-			Slot:      r,
-			Host:      g,
-			Corrupt:   s.repCorrupt[a][r] && !s.repConvicted[a][r],
-			Convicted: s.repConvicted[a][r],
-		})
-	}
-	return out
-}
-
-// Running returns the number of placed replicas of app a (the model's
-// replicas_running, which still counts convicted-pending members).
-func (s *Process) Running(a int) int { return s.running[a] }
-
-// Undet returns the number of corrupt undetected replicas of app a.
-func (s *Process) Undet(a int) int { return s.undet[a] }
-
-// Improper is the model's unavailability predicate for app a in the current
-// state: at least one third of the running replicas corrupt undetected
-// (vacuously true with zero replicas running), or an active partition
-// isolating the whole replica group across the cut — every running replica
-// in one of the severed domains with at least one on each side, so no
-// relay path exists and neither side holds a response majority.
-func (s *Process) Improper(a int) bool {
-	return 3*s.undet[a] >= s.running[a] || s.partitionIsolated(a)
-}
-
-// partitionIsolated reports whether the active partition splits app a's
-// placed replicas across the cut with none outside it: no relay path
-// exists and neither side holds a response majority.
-func (s *Process) partitionIsolated(a int) bool {
-	if s.partA < 0 {
-		return false
-	}
-	sawA, sawB := false, false
-	for _, g := range s.onHost[a] {
-		if g < 0 {
-			continue
-		}
-		switch s.domainOf(g) {
-		case s.partA:
-			sawA = true
-		case s.partB:
-			sawB = true
-		default:
-			return false
-		}
-	}
-	return sawA && sawB
-}
-
-// Partitioned returns the severed domain pair of the active partition, or
-// ok = false while the network is healed.
-func (s *Process) Partitioned() (domA, domB int, ok bool) {
-	if s.partA < 0 {
-		return 0, 0, false
-	}
-	return s.partA, s.partB, true
-}
-
-// CrewBusy returns the number of claimed repair-crew members (always zero
-// with Params.RepairCrew == 0, i.e. unbounded repair capacity).
-func (s *Process) CrewBusy() int { return s.crewBusy }
-
-// Byzantine reports whether app a has latched the model's Byzantine-failure
-// flag (undetected corrupt replicas reached one third while nonzero).
-func (s *Process) Byzantine(a int) bool { return s.grpFail[a] }
-
-// ByzantineBlocked reports whether app a's Byzantine latch fired while the
-// partition isolated the group. The model latches on corruption share
-// alone (state-based, like the SAN and direct engines), but in that
-// geometry the colluders cannot reach the correct replicas to force a
-// forged delivery, so the live service may legitimately never certify a
-// wrong answer — the one environment-induced case where the model's
-// unreliability bounds the measured value from above instead of equalling
-// it.
-func (s *Process) ByzantineBlocked(a int) bool { return s.grpFailBlocked[a] }
-
-// FracDomainsExcluded is the model's excluded-domain fraction measure
-// (zero under host exclusion, as in the paper).
-func (s *Process) FracDomainsExcluded() float64 {
-	if s.p.Policy == core.HostExclusion {
-		return 0
-	}
-	n := 0
-	for _, e := range s.domExcluded {
-		if e {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.domExcluded))
-}
-
-func (s *Process) domainOf(g int) int { return g / s.p.HostsPerDomain }
-
-func (s *Process) hostLoad(g int) int {
-	n := 0
-	for a := range s.onHost {
-		for _, h := range s.onHost[a] {
-			if h == g {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-func (s *Process) chooseHost(d int) int {
-	H := s.p.HostsPerDomain
-	var hostsUp []int
-	for h := 0; h < H; h++ {
-		if !s.hostExcluded[d*H+h] {
-			hostsUp = append(hostsUp, d*H+h)
-		}
-	}
-	switch s.p.Placement {
-	case core.LeastLoadedPlacement:
-		best := hostsUp[0]
-		for _, g := range hostsUp[1:] {
-			if s.hostLoad(g) < s.hostLoad(best) {
-				best = g
-			}
-		}
-		return best
-	case core.WeightedRandomPlacement:
-		weights := make([]float64, len(hostsUp))
-		for i, g := range hostsUp {
-			weights[i] = 1 / (1 + float64(s.hostLoad(g)))
-		}
-		return hostsUp[s.rs.Category(weights)]
-	default:
-		return hostsUp[s.rs.Choose(len(hostsUp))]
-	}
-}
-
-func (s *Process) hasReplica(a, d int) bool {
-	for _, g := range s.onHost[a] {
-		if g >= 0 && s.domainOf(g) == d {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Process) mgrsRunning() int {
-	n := 0
-	for g := range s.mgrRemoved {
-		if !s.hostExcluded[g] {
-			n++
-		}
-	}
-	return n
-}
-
-func (s *Process) undetMgrs() int {
-	n := 0
-	for g := range s.mgrCorrupt {
-		if s.mgrCorrupt[g] && !s.hostExcluded[g] {
-			n++
-		}
-	}
-	return n
-}
-
-func (s *Process) globalQuorumOK() bool {
-	// An active partition blocks the system-wide management quorum,
-	// mirroring core and ituadirect.
-	if s.partA >= 0 {
-		return false
-	}
-	return 3*s.undetMgrs() < s.mgrsRunning()
-}
-
-// cutsDomain reports whether domain d is on either side of the active
-// partition.
-func (s *Process) cutsDomain(d int) bool {
-	return s.partA >= 0 && (d == s.partA || d == s.partB)
-}
-
-func (s *Process) domainGroupOK(d int) bool {
-	H := s.p.HostsPerDomain
-	up, corrupt := 0, 0
-	for h := 0; h < H; h++ {
-		g := d*H + h
-		if !s.hostExcluded[g] {
-			up++
-			if s.mgrCorrupt[g] {
-				corrupt++
-			}
-		}
-	}
-	return 3*corrupt < up
-}
-
-func (s *Process) checkByzantine(a int) {
-	if s.undet[a] > 0 && 3*s.undet[a] >= s.running[a] && !s.grpFail[a] {
-		s.grpFail[a] = true
-		s.grpFailBlocked[a] = s.partitionIsolated(a)
-	}
-}
-
-func (s *Process) spreadBoost(d int) float64 {
-	return s.p.SpreadRateCoeff * (s.p.DomainSpreadRate*float64(s.spreadDom[d]) +
-		s.p.SystemSpreadRate*float64(s.spreadSys))
-}
-
-func (s *Process) assetBoost(d int) float64 {
-	return s.p.AssetSpreadCoeff * s.p.DomainSpreadRate * float64(s.spreadDom[d])
-}
-
-// collect enumerates every enabled transition, mirroring
-// ituadirect.(*process).collect clause for clause.
-func (s *Process) collect(buf []transition) []transition {
-	buf = buf[:0]
-	p := s.p
-
-	// Environment faults (mirroring ituadirect): one partition at a time
-	// over a uniformly chosen domain pair, and Binomial(k, p) campaign
-	// batches over eligible hosts.
-	if p.PartitionRate > 0 && p.PartitionHealRate > 0 && len(s.domExcluded) > 1 {
-		if s.partA < 0 {
-			buf = append(buf, transition{p.PartitionRate, func() {
-				D := len(s.domExcluded)
-				k := s.rs.Choose(D * (D - 1) / 2)
-				da := 0
-				for k >= D-1-da {
-					k -= D - 1 - da
-					da++
-				}
-				s.partA, s.partB = da, da+1+k
-				if s.h.Partition != nil {
-					s.h.Partition(s.partA, s.partB)
-				}
-			}})
-		} else {
-			buf = append(buf, transition{p.PartitionHealRate, func() {
-				s.partA, s.partB = -1, -1
-				if s.h.Heal != nil {
-					s.h.Heal()
-				}
-			}})
-		}
-	}
-	if p.CampaignRate > 0 && p.CampaignSize > 0 && p.CampaignProb > 0 {
-		for g := range s.hostStatus {
-			if s.hostStatus[g] == 0 && !s.hostExcluded[g] {
-				buf = append(buf, transition{p.CampaignRate, func() { s.campaign() }})
-				break
-			}
-		}
-	}
-
-	for g := range s.hostStatus {
-		g := g
-		if s.hostExcluded[g] {
-			continue
-		}
-		d := s.domainOf(g)
-
-		if s.hostStatus[g] == 0 && s.hostRate > 0 {
-			rate := s.hostRate * (1 + s.spreadBoost(d))
-			buf = append(buf, transition{rate, func() {
-				s.hostStatus[g] = 1 + s.rs.Category(s.pClass[:])
-				s.intrusions++
-			}})
-		}
-
-		if s.hostStatus[g] > 0 && !s.propDomDone[g] && p.DomainSpreadRate > 0 {
-			buf = append(buf, transition{p.DomainSpreadRate, func() {
-				s.propDomDone[g] = true
-				s.spreadDom[d]++
-			}})
-		}
-		if s.hostStatus[g] > 0 && !s.propSysDone[g] && p.SystemSpreadRate > 0 &&
-			!s.cutsDomain(d) {
-			buf = append(buf, transition{p.SystemSpreadRate, func() {
-				s.propSysDone[g] = true
-				s.spreadSys++
-			}})
-		}
-
-		if !s.mgrCorrupt[g] && !s.mgrRemoved[g] && s.mgrRate > 0 {
-			rate := s.mgrRate * (1 + s.assetBoost(d))
-			if s.hostStatus[g] > 0 {
-				rate *= p.CorruptionMult
-			}
-			buf = append(buf, transition{rate, func() {
-				s.mgrCorrupt[g] = true
-				s.intrusions++
-			}})
-		}
-
-		if s.hostStatus[g] > 0 && !s.hostDetected[g] && p.HostDetectRate > 0 {
-			buf = append(buf, transition{p.HostDetectRate, func() {
-				s.hostDetected[g] = true
-				class := s.hostStatus[g] - 1
-				if s.rs.Bernoulli(s.detectClass[class]) &&
-					!s.mgrCorrupt[g] && s.domainGroupOK(d) {
-					s.exclude(g)
-				}
-			}})
-		}
-
-		if s.mgrCorrupt[g] && !s.mgrDetected[g] && p.MgrDetectRate > 0 {
-			buf = append(buf, transition{p.MgrDetectRate, func() {
-				s.mgrDetected[g] = true
-				if s.rs.Bernoulli(p.DetectMgr) &&
-					(s.domainGroupOK(d) || s.globalQuorumOK()) {
-					s.exclude(g)
-				}
-			}})
-		}
-
-		if s.intrusions == 0 && s.hostFalseRate > 0 {
-			buf = append(buf, transition{s.hostFalseRate, func() {
-				if !s.mgrCorrupt[g] && s.domainGroupOK(d) {
-					s.exclude(g)
-				}
-			}})
-		}
-	}
-
-	for a := range s.onHost {
-		a := a
-		for r := range s.onHost[a] {
-			r := r
-			g := s.onHost[a][r]
-			if g < 0 {
-				continue
-			}
-			d := s.domainOf(g)
-
-			if !s.repCorrupt[a][r] && !s.repConvicted[a][r] && s.repRate > 0 {
-				rate := s.repRate * (1 + s.assetBoost(d))
-				if s.hostStatus[g] > 0 {
-					rate *= p.CorruptionMult
-				}
-				buf = append(buf, transition{rate, func() {
-					s.repCorrupt[a][r] = true
-					s.undet[a]++
-					s.intrusions++
-					s.checkByzantine(a)
-					if s.h.CorruptReplica != nil {
-						s.h.CorruptReplica(a, r)
-					}
-				}})
-			}
-
-			if s.repCorrupt[a][r] && !s.repConvicted[a][r] && !s.repDetected[a][r] && p.ReplicaDetectRate > 0 {
-				buf = append(buf, transition{p.ReplicaDetectRate, func() {
-					s.repDetected[a][r] = true
-					if s.rs.Bernoulli(p.DetectReplica) {
-						s.convict(a, r)
-					}
-				}})
-			}
-
-			if s.repCorrupt[a][r] && !s.repConvicted[a][r] && p.MisbehaveRate > 0 &&
-				s.running[a] > 3*s.undet[a] {
-				buf = append(buf, transition{p.MisbehaveRate, func() {
-					s.convict(a, r)
-				}})
-			}
-
-			if s.intrusions == 0 && !s.repCorrupt[a][r] && !s.repConvicted[a][r] && s.repFalseRate > 0 {
-				buf = append(buf, transition{s.repFalseRate, func() {
-					s.convict(a, r)
-				}})
-			}
-		}
-
-		// With a bounded repair crew the exponential recovery service runs
-		// only while a crew member is claimed (claims happen in drainCrew);
-		// unbounded otherwise.
-		if p.RepairCrew > 0 {
-			if s.inService[a] && s.globalQuorumOK() && s.qualifyingDomainExists(a) {
-				buf = append(buf, transition{p.RecoveryRate, func() {
-					s.recoverOne(a)
-					s.inService[a] = false
-					s.crewBusy--
-				}})
-			}
-		} else if s.needRec[a] > 0 && s.globalQuorumOK() && s.qualifyingDomainExists(a) {
-			buf = append(buf, transition{p.RecoveryRate, func() {
-				s.recoverOne(a)
-			}})
-		}
-	}
-	return buf
-}
-
-// campaign corrupts a Binomial(CampaignSize, CampaignProb) batch of
-// uniformly chosen eligible (uncorrupted, unexcluded) hosts in one event.
-func (s *Process) campaign() {
-	var eligible []int
-	for g := range s.hostStatus {
-		if s.hostStatus[g] == 0 && !s.hostExcluded[g] {
-			eligible = append(eligible, g)
-		}
-	}
-	k := s.p.CampaignSize
-	if len(eligible) <= k {
-		k = len(eligible)
-	} else {
-		for i := 0; i < k; i++ {
-			j := i + s.rs.Choose(len(eligible)-i)
-			eligible[i], eligible[j] = eligible[j], eligible[i]
-		}
-	}
-	for _, g := range eligible[:k] {
-		if !s.rs.Bernoulli(s.p.CampaignProb) {
-			continue
-		}
-		s.hostStatus[g] = 1 + s.rs.Category(s.pClass[:])
-		s.intrusions++
-	}
-}
-
-func (s *Process) convict(a, r int) {
-	if s.repCorrupt[a][r] {
-		s.undet[a]--
-	}
-	s.repConvicted[a][r] = true
-	if s.h.ConvictReplica != nil {
-		s.h.ConvictReplica(a, r)
-	}
-	s.respondIfAble(a, r)
-}
-
-func (s *Process) respondIfAble(a, r int) {
-	g := s.onHost[a][r]
-	if g < 0 || !s.repConvicted[a][r] {
-		return
-	}
-	if !s.domainGroupOK(s.domainOf(g)) && !s.globalQuorumOK() {
-		return
-	}
-	if s.p.ExcludeOnReplicaConviction {
-		s.exclude(g)
-		return
-	}
-	s.killSlot(a, r)
-}
-
-func (s *Process) drainPending() {
-	for a := range s.onHost {
-		for r := range s.onHost[a] {
-			if s.repConvicted[a][r] && s.onHost[a][r] >= 0 {
-				s.respondIfAble(a, r)
-			}
-		}
-	}
-	s.drainCrew()
-}
-
-// drainCrew assigns idle repair-crew members to applications with pending,
-// serviceable recoveries, in app order (at most one member per app).
-func (s *Process) drainCrew() {
-	if s.p.RepairCrew == 0 {
-		return
-	}
-	for a := range s.inService {
-		if s.crewBusy >= s.p.RepairCrew {
-			return
-		}
-		if !s.inService[a] && s.needRec[a] > 0 && s.globalQuorumOK() &&
-			s.qualifyingDomainExists(a) {
-			s.inService[a] = true
-			s.crewBusy++
-		}
-	}
-}
-
-func (s *Process) killSlot(a, r int) {
-	if s.onHost[a][r] < 0 {
-		return
-	}
-	if s.repCorrupt[a][r] && !s.repConvicted[a][r] {
-		s.undet[a]--
-	}
-	s.onHost[a][r] = -1
-	s.repCorrupt[a][r] = false
-	s.repConvicted[a][r] = false
-	s.repDetected[a][r] = false
-	s.running[a]--
-	s.needRec[a]++
-	s.checkByzantine(a)
-	if s.h.KillReplica != nil {
-		s.h.KillReplica(a, r)
-	}
-}
-
-func (s *Process) exclude(g int) {
-	if s.p.Policy == core.HostExclusion {
-		s.excludeHost(g)
-		return
-	}
-	d := s.domainOf(g)
-	if s.domExcluded[d] {
-		return
-	}
-	H := s.p.HostsPerDomain
-	for gg := d * H; gg < (d+1)*H; gg++ {
-		s.excludeHost(gg)
-	}
-	s.domExcluded[d] = true
-}
-
-func (s *Process) excludeHost(g int) {
-	if s.hostExcluded[g] {
-		return
-	}
-	s.hostExcluded[g] = true
-	s.mgrCorrupt[g] = false
-	s.mgrRemoved[g] = true
-	for a := range s.onHost {
-		for r := range s.onHost[a] {
-			if s.onHost[a][r] == g {
-				s.killSlot(a, r)
-			}
-		}
-	}
-	if s.h.ExcludeHost != nil {
-		s.h.ExcludeHost(g)
-	}
-}
-
-func (s *Process) qualifyingDomainExists(a int) bool {
-	for d := range s.domExcluded {
-		if s.domainQualifies(a, d) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Process) domainQualifies(a, d int) bool {
-	if s.domExcluded[d] || s.hasReplica(a, d) {
-		return false
-	}
-	H := s.p.HostsPerDomain
-	for h := 0; h < H; h++ {
-		if !s.hostExcluded[d*H+h] {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Process) recoverOne(a int) {
-	var doms []int
-	for d := range s.domExcluded {
-		if s.domainQualifies(a, d) {
-			doms = append(doms, d)
-		}
-	}
-	if len(doms) == 0 {
-		return
-	}
-	g := s.chooseHost(doms[s.rs.Choose(len(doms))])
-	for r := range s.onHost[a] {
-		if s.onHost[a][r] < 0 {
-			s.onHost[a][r] = g
-			s.running[a]++
-			s.needRec[a]--
-			if s.h.StartReplica != nil {
-				s.h.StartReplica(a, r, g)
-			}
-			return
-		}
-	}
-	panic("inject: no free slot during recovery")
+	return ituadirect.NewProcess(p, rs, ituadirect.Opts{Hooks: h})
 }

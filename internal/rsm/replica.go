@@ -71,7 +71,7 @@ type clusterSpec struct {
 }
 
 // cluster is the live replica group of the measured application plus the
-// synthetic client. The fault injector mutates it through hook calls; the
+// synthetic client. The attack process mutates it through hook calls; the
 // client probes it through the transport.
 type cluster struct {
 	rs    *rng.Stream
@@ -96,7 +96,7 @@ func newCluster(rs *rng.Stream, tr *Transport, spec clusterSpec) *cluster {
 	return &cluster{rs: rs, tr: tr, spec: spec, nodes: make(map[int]*node)}
 }
 
-// Lifecycle hooks, driven by inject.Hooks.
+// Lifecycle hooks, driven by ituadirect.Hooks.
 
 func (c *cluster) start(slot, host int) {
 	c.nodes[slot] = &node{slot: slot, host: host}

@@ -2,11 +2,15 @@
 // counterpart of the ITUA model. Replicas of the measured application run
 // Bracha's reliable broadcast (internal/groupcomm) over an in-process
 // discrete-event transport with seeded latency, loss, exclusion, and
-// partition support, while the fault injector (internal/rsm/inject) drives
-// the model's stochastic attack process against them: corruptions swap a
-// replica's logic for a Byzantine behavior script, convictions quarantine
-// it, exclusions cut its host off the transport, and recoveries bring fresh
-// replicas up. A synthetic client probes the service after every injected
+// partition support, while the model's stochastic attack process
+// (ituadirect.Process, stepped between probes) drives them through its
+// lifecycle hooks: corruptions swap a replica's logic for a Byzantine
+// behavior script, convictions quarantine it, exclusions cut its host off
+// the transport, partitions sever domain pairs, and recoveries bring fresh
+// replicas up. The attack law is shared with the direct simulator; what
+// this package adds, and what makes the live measures independent
+// evidence, is the real replica group, its agreement protocol and its
+// transport. A synthetic client probes the service after every injected
 // event; a probe fails when fewer than ⌈(n+1)/2⌉ members answer with one
 // value (unavailability) and is Byzantine when a wrong value reaches that
 // threshold (unreliability). The resulting empirical measures estimate the
@@ -24,8 +28,8 @@ import (
 
 	"ituaval/internal/core"
 	"ituaval/internal/groupcomm"
+	"ituaval/internal/ituadirect"
 	"ituaval/internal/rng"
-	"ituaval/internal/rsm/inject"
 	"ituaval/internal/stats"
 )
 
@@ -115,32 +119,38 @@ type Result struct {
 	Reps   int // replications contributing measures
 	Failed int
 	// Failures counts failed replications by kind ("deadline",
-	// "event-budget", "panic"), the PR-1 watchdog taxonomy: failures are
+	// "event-budget", "panic"), the watchdog taxonomy: failures are
 	// recorded and bounded, never hangs.
 	Failures map[string]int
+	// Panic is the value and stack of the first panicking replication in
+	// replication order ("" if none panicked).
+	Panic string
 
-	Probes int64 // client probes issued across all replications
+	// Probes counts client probes across all replications, failed ones
+	// included.
+	Probes int64
 	// Divergences counts probe outcomes disagreeing with the model oracle,
 	// plus final unreliability latches disagreeing with the model's
 	// Byzantine flag — except when that flag latched while a partition
-	// isolated the group (inject.ByzantineBlocked), where the model is a
-	// documented upper bound rather than an equality.
+	// isolated the group (ituadirect.Process.ByzantineBlocked), where the
+	// model is a documented upper bound rather than an equality.
 	Divergences int64
 
 	// Live measures: empirical unavailability (fraction of the interval
 	// the service failed the response threshold), unreliability (a wrong
-	// answer was certified by the horizon), and the injector's
+	// answer was certified by the horizon), and the attack process's
 	// excluded-domain fraction at the horizon.
 	Unavail, Unrel, FracExcl stats.Accumulator
 
 	// Oracle measures: the model's improper-service predicate evaluated on
-	// the injector state over the same trajectories. Live and oracle means
-	// coincide (up to Divergences) under the default adversary.
+	// the attack-process state over the same trajectories. Live and oracle
+	// means coincide (up to Divergences) under the default adversary.
 	PredUnavail, PredUnrel stats.Accumulator
 }
 
 type repOut struct {
 	fail                string // failure kind, "" = ok
+	panic               string // panic value and stack when fail == "panic"
 	unavail, fracExcl   float64
 	wrong               bool
 	predUnavail         float64
@@ -185,6 +195,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		if o.fail != "" {
 			res.Failed++
 			res.Failures[o.fail]++
+			if res.Panic == "" {
+				res.Panic = o.panic
+			}
 			continue
 		}
 		res.Reps++
@@ -195,8 +208,12 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		res.PredUnrel.Add(b01(o.predWrong))
 	}
 	if frac := float64(res.Failed) / float64(spec.Reps); frac > spec.MaxFailureFrac {
-		return res, fmt.Errorf("rsm: %d of %d replications failed (%v), above the %.0f%% budget",
+		err := fmt.Errorf("rsm: %d of %d replications failed (%v), above the %.0f%% budget",
 			res.Failed, spec.Reps, res.Failures, 100*spec.MaxFailureFrac)
+		if res.Panic != "" {
+			err = fmt.Errorf("%w; first panic: %s", err, res.Panic)
+		}
+		return res, err
 	}
 	return res, nil
 }
@@ -210,12 +227,13 @@ func b01(b bool) float64 {
 
 // runRep boots one replica group, drives the attack process to the horizon,
 // and probes the live service after every injected event. A panic, event
-// budget, or wall deadline degrades to a recorded failure.
+// budget, or wall deadline degrades to a recorded failure that keeps the
+// probes and divergences counted so far.
 func runRep(ctx context.Context, spec Spec, stream *rng.Stream) (out repOut) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = repOut{fail: "panic"}
-			_ = debug.Stack()
+			out.fail = "panic"
+			out.panic = fmt.Sprintf("%v\n%s", r, debug.Stack())
 		}
 	}()
 	start := time.Now()
@@ -227,7 +245,7 @@ func runRep(ctx context.Context, spec Spec, stream *rng.Stream) (out repOut) {
 		fairAdversary: spec.FairAdversary,
 		behavior:      spec.Behavior,
 	})
-	proc, err := inject.New(spec.Params, stream.RoleNamed("inject"), inject.Hooks{
+	proc, err := ituadirect.NewProcess(spec.Params, stream.RoleNamed("inject"), ituadirect.Opts{Hooks: ituadirect.Hooks{
 		StartReplica: func(a, slot, host int) {
 			if a == 0 {
 				cl.start(slot, host)
@@ -257,7 +275,7 @@ func runRep(ctx context.Context, spec Spec, stream *rng.Stream) (out repOut) {
 			})
 		},
 		Heal: func() { tr.SetPartition(nil) },
-	})
+	}})
 	if err != nil {
 		panic(err) // Params were validated by Run; this is a programming error
 	}
@@ -286,15 +304,12 @@ func runRep(ctx context.Context, spec Spec, stream *rng.Stream) (out repOut) {
 
 	for events := 0; ; events++ {
 		if events >= spec.MaxEvents {
-			return repOut{fail: "event-budget", probes: out.probes, divergences: out.divergences}
+			out.fail = "event-budget"
+			return out
 		}
-		if events&63 == 0 {
-			if time.Since(start) > spec.RepDeadline {
-				return repOut{fail: "deadline", probes: out.probes, divergences: out.divergences}
-			}
-			if ctx.Err() != nil {
-				return repOut{fail: "deadline", probes: out.probes, divergences: out.divergences}
-			}
+		if events&63 == 0 && (time.Since(start) > spec.RepDeadline || ctx.Err() != nil) {
+			out.fail = "deadline"
+			return out
 		}
 		dt, fired := proc.Step(T - now)
 		if improper {

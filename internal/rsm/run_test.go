@@ -2,12 +2,16 @@ package rsm
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"ituaval/internal/core"
 	"ituaval/internal/groupcomm"
+	"ituaval/internal/ituadirect"
 	"ituaval/internal/rng"
+	"ituaval/internal/stats"
 )
 
 func smallParams() core.Params {
@@ -127,5 +131,118 @@ func TestRunCancellation(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled run did not return")
+	}
+}
+
+// The oracle is ituadirect's process itself, stepped by rsm.Run on the
+// stream Seed→i→"inject": its means must equal ituadirect.Run's measures
+// on the same streams, up to float summation order for unavailability and
+// exactly for the Byzantine latch.
+func TestOracleMatchesDirect(t *testing.T) {
+	const T = 6.0
+	for _, cfg := range []struct {
+		name string
+		mut  func(*core.Params)
+	}{
+		{"2x1", func(p *core.Params) {}},
+		{"4x2x4 host-exclusion", func(p *core.Params) {
+			p.NumDomains, p.HostsPerDomain, p.RepsPerApp = 4, 2, 4
+			p.Policy = core.HostExclusion
+		}},
+		{"4x2x4 environment faults", func(p *core.Params) {
+			p.NumDomains, p.HostsPerDomain, p.RepsPerApp = 4, 2, 4
+			p.PartitionRate, p.PartitionHealRate = 2, 4
+			p.CampaignRate, p.CampaignSize, p.CampaignProb = 0.5, 2, 0.5
+			p.RepairCrew = 1
+		}},
+	} {
+		p := smallParams()
+		cfg.mut(&p)
+		const reps, seed = 60, 31
+		res, err := Run(context.Background(), Spec{Params: p, T: T, Reps: reps, Seed: seed})
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.name, err)
+		}
+		if res.Failed > 0 {
+			t.Fatalf("%s: %d failed replications: %v", cfg.name, res.Failed, res.Failures)
+		}
+		var unavail, unrel stats.Accumulator
+		root := rng.New(seed)
+		for i := 0; i < reps; i++ {
+			d, err := ituadirect.Run(p, root.Derive(uint64(i)).RoleNamed("inject"), []float64{T})
+			if err != nil {
+				t.Fatal(err)
+			}
+			unavail.Add(d.UnavailTime[0] / T)
+			unrel.Add(b01(d.ByzantineBy[0]))
+		}
+		if got, want := res.PredUnavail.Mean(), unavail.Mean(); math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s: oracle unavailability %.17g, direct %.17g", cfg.name, got, want)
+		}
+		if got, want := res.PredUnrel.Mean(), unrel.Mean(); got != want {
+			t.Errorf("%s: oracle unreliability %.17g, direct %.17g", cfg.name, got, want)
+		}
+	}
+}
+
+// A replication that panics is recorded as a "panic" failure that keeps
+// the probes it issued, and the first panic's value and stack surface in
+// the Result (and in the error once the failure budget is exceeded).
+func TestRunPanicKeepsCountsAndStack(t *testing.T) {
+	const T, reps, seed = 6.0, 30, 17
+	p := smallParams()
+	spec := Spec{
+		Params: p, T: T, Reps: reps, Seed: seed, MaxFailureFrac: 1,
+		Behavior: func(int, *rng.Stream) groupcomm.Behavior { panic("corruption behavior exploded") },
+	}
+	res, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Replay the attack process on the same streams: a replication probes
+	// once at the start and after every event, and panics inside the
+	// first event that corrupts a replica.
+	var wantProbes int64
+	panicked := 0
+	root := rng.New(seed)
+	for i := 0; i < reps; i++ {
+		corrupted := false
+		proc, err := ituadirect.NewProcess(p, root.Derive(uint64(i)).RoleNamed("inject"),
+			ituadirect.Opts{Hooks: ituadirect.Hooks{CorruptReplica: func(int, int) { corrupted = true }}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantProbes++
+		for now := 0.0; ; {
+			dt, fired := proc.Step(T - now)
+			now += dt
+			if !fired || corrupted {
+				break
+			}
+			wantProbes++
+		}
+		if corrupted {
+			panicked++
+		}
+	}
+	if panicked == 0 || panicked == reps {
+		t.Fatalf("%d of %d replications corrupt a replica; the test has no power", panicked, reps)
+	}
+	if got := res.Failures["panic"]; got != panicked {
+		t.Errorf("%d panic failures, replay says %d", got, panicked)
+	}
+	if res.Probes != wantProbes {
+		t.Errorf("Probes = %d, replay says %d (failed replications' probes dropped?)", res.Probes, wantProbes)
+	}
+	for _, want := range []string{"corruption behavior exploded", "runRep"} {
+		if !strings.Contains(res.Panic, want) {
+			t.Errorf("Result.Panic lacks %q:\n%s", want, res.Panic)
+		}
+	}
+
+	spec.MaxFailureFrac = 0 // default 5% budget
+	if _, err := Run(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "corruption behavior exploded") {
+		t.Errorf("over-budget error does not carry the panic: %v", err)
 	}
 }

@@ -12,7 +12,9 @@ package study
 //   - sim.RunContext in CRN and non-CRN mode is pinned per worker count
 //     (its strided aggregation is intentionally unchanged);
 //   - an integrity.CrossCheck smoke (SAN engine vs the independent direct
-//     simulator) is pinned per worker count.
+//     simulator) is pinned per worker count;
+//   - a live replica-group run (rsm.Run with partitions, attack campaigns
+//     and a bounded repair crew) is pinned at two worker counts.
 //
 // Every float is compared by its IEEE-754 bit pattern, not by tolerance.
 // Regenerate with `go test ./internal/study -run TestDeterminismGolden
@@ -32,7 +34,9 @@ import (
 	"ituaval/internal/core"
 	"ituaval/internal/integrity"
 	"ituaval/internal/reward"
+	"ituaval/internal/rsm"
 	"ituaval/internal/sim"
+	"ituaval/internal/stats"
 )
 
 var updateGolden = flag.Bool("update-golden", false,
@@ -69,6 +73,10 @@ func flattenFigure(f *Figure) []string {
 	}
 	return out
 }
+
+// detLiveWorkers are the worker counts the live arm is pinned at; rsm.Run
+// aggregates in replication order, so both must give the same bits.
+var detLiveWorkers = []int{1, 2}
 
 // detParams is a small ITUA configuration shared by the sim and crosscheck
 // scenarios, so the harness stays fast enough for every `go test` run.
@@ -129,6 +137,37 @@ func detCross(t *testing.T, workers int) []string {
 	return out
 }
 
+// detLive pins the live arm: an rsm.Run with the full environment-fault
+// vocabulary on, so the attack process, the hook protocol and the probe
+// loop all contribute to the recorded bits.
+func detLive(t *testing.T, workers int) []string {
+	t.Helper()
+	p := detParams()
+	p.NumApps = 1
+	p.PartitionRate = 2
+	p.PartitionHealRate = 4
+	p.CampaignRate = 0.2
+	p.CampaignSize = 2
+	p.CampaignProb = 0.5
+	p.RepairCrew = 1
+	res, err := rsm.Run(context.Background(), rsm.Spec{Params: p, T: 2, Reps: 40, Seed: 23, Workers: workers})
+	if err != nil {
+		t.Fatalf("live (workers=%d): %v", workers, err)
+	}
+	out := []string{fmt.Sprintf("reps=%d|failed=%d|probes=%d|divergences=%d",
+		res.Reps, res.Failed, res.Probes, res.Divergences)}
+	for _, m := range []struct {
+		name string
+		acc  *stats.Accumulator
+	}{
+		{"unavail", &res.Unavail}, {"unrel", &res.Unrel}, {"excl", &res.FracExcl},
+		{"predunavail", &res.PredUnavail}, {"predunrel", &res.PredUnrel},
+	} {
+		out = append(out, fmt.Sprintf("%s|mean=%016x", m.name, math.Float64bits(m.acc.Mean())))
+	}
+	return out
+}
+
 // captureGolden produces the reference scenarios: figures at Workers=1 (the
 // sequential order every worker count must reproduce), sim and crosscheck
 // per worker count (their strided aggregation is worker-count-specific by
@@ -143,6 +182,9 @@ func captureGolden(t *testing.T) map[string][]string {
 			g[fmt.Sprintf("sim/workers=%d/crn=%v", w, crn)] = detSim(t, w, crn)
 		}
 		g[fmt.Sprintf("crosscheck/workers=%d", w)] = detCross(t, w)
+	}
+	for _, w := range detLiveWorkers {
+		g[fmt.Sprintf("live/workers=%d", w)] = detLive(t, w)
 	}
 	return g
 }
@@ -205,5 +247,9 @@ func TestDeterminismGolden(t *testing.T) {
 		}
 		key := fmt.Sprintf("crosscheck/workers=%d", w)
 		compareLines(t, key, detCross(t, w), want[key])
+	}
+	for _, w := range detLiveWorkers {
+		key := fmt.Sprintf("live/workers=%d", w)
+		compareLines(t, key, detLive(t, w), want[key])
 	}
 }
