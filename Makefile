@@ -22,13 +22,15 @@
 #                campaigns, bounded repair crew active in every engine:
 #                SAN vs direct vs live vs exact), heavier than the
 #                fault smoke variant inside `make test`
+#   bench-build  type-checks the perfbench/ benchmark module, which the
+#                root `go test ./...` never builds
 #   lumpcheck    symmetry-lumping gate: exhaustive lumped-vs-full
 #                equivalence over every study model shape plus the
 #                4x2 lumped-anchor cross-check, heavier than the
 #                two-configuration equivalence test inside `make test`
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-json bench-mc perf-smoke lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck
+.PHONY: ci vet build test race bench bench-json bench-mc perf-smoke bench-build lint-models fuzz-smoke serve-smoke crosscheck livecheck faultcheck lumpcheck
 
 ci: vet build test race
 
@@ -100,8 +102,16 @@ bench-mc:
 		$(GO) run ./cmd/benchjson -o BENCH_PR9.json -baseline BENCH_PR9_baseline.json
 
 # perf-smoke is the fast CI lane: one iteration of the engine hot-path
-# benchmarks plus one full figure panel, enough to catch a build break or a
-# gross allocation regression without the cost of the full suite.
+# benchmarks, one full figure panel and one uniformization step on the
+# bench4x1 quotient, enough to catch a build break or a gross allocation
+# regression without the cost of the full suite.
 perf-smoke:
 	$(GO) test -bench 'BenchmarkEngine(Step|Replication)' -benchtime 1x -benchmem -run=^$$ ./internal/sim
 	$(GO) test -bench 'BenchmarkFig3aUnavailability' -benchtime 1x -benchmem -run=^$$ .
+	$(GO) test -bench 'BenchmarkUniStep' -benchtime 1x -benchmem -run=^$$ ./internal/mc
+
+# bench-build type-checks the benchmark module (perfbench/, a module of its
+# own that the root `go test ./...` never builds), so an API change in the
+# packages it imports fails here instead of at benchmark time.
+bench-build:
+	$(GO) -C perfbench vet ./...

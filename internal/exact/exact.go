@@ -26,7 +26,9 @@
 package exact
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"ituaval/internal/core"
 	"ituaval/internal/mc"
@@ -46,14 +48,23 @@ type Options struct {
 }
 
 // Solver holds a generated chain together with the model handles the
-// measure definitions need. Methods are safe to call repeatedly; each
-// runs one numerical solution on the shared chain.
+// measure definitions need. Methods are safe to call repeatedly and
+// concurrently. Unavailability and FracDomainsExcluded read the same
+// uniformization walk of the unabsorbed chain — the distribution and the
+// occupancy at the horizon — and the Solver keeps the last horizon's walk,
+// so asking both (for any applications) at one horizon costs one walk.
+// Unreliability runs its own walk on the chain with the Byzantine states
+// absorbing.
 type Solver struct {
 	M *core.Model
 	C *mc.CTMC
 	// Lumped reports whether the chain is the symmetry quotient rather
 	// than the full chain.
 	Lumped bool
+
+	mu      sync.Mutex
+	walkT   float64   // horizon of the cached walk
+	pi, occ []float64 // π(walkT) and occ(walkT); nil before the first walk
 }
 
 // NewSolver builds the composed ITUA model for p (with Analytic forced
@@ -91,11 +102,34 @@ func indicator(pred func(*san.State) bool) func(*san.State) float64 {
 	}
 }
 
+// walk returns the unabsorbed chain's distribution π(T) and occupancy
+// occ(T), reusing the last horizon's walk. The returned slices are never
+// written after they are cached.
+func (s *Solver) walk(T float64) (pi, occ []float64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pi != nil && s.walkT == T {
+		return s.pi, s.occ, nil
+	}
+	if pi, occ, err = s.C.TransientOccupancy(T); err != nil {
+		return nil, nil, err
+	}
+	s.walkT, s.pi, s.occ = T, pi, occ
+	return pi, occ, nil
+}
+
 // Unavailability is the expected fraction of [0, T] during which
 // application app's service is improper — the exact value of
-// core.Model.Unavailability.
+// core.Model.Unavailability: occ(T)·r / T for the improper indicator r.
 func (s *Solver) Unavailability(app int, T float64) (float64, error) {
-	return s.C.IntervalAverageReward(T, indicator(s.M.Improper(app)))
+	if T <= 0 {
+		return 0, errors.New("exact: non-positive interval")
+	}
+	_, occ, err := s.walk(T)
+	if err != nil {
+		return 0, err
+	}
+	return s.C.Reward(occ, indicator(s.M.Improper(app))) / T, nil
 }
 
 // Unreliability is the probability that application app suffers a
@@ -106,11 +140,19 @@ func (s *Solver) Unreliability(app int, T float64) (float64, error) {
 }
 
 // FracDomainsExcluded is the expected fraction of security domains
-// excluded by time T — the exact value of core.Model.FracDomainsExcluded.
+// excluded by time T — the exact value of core.Model.FracDomainsExcluded:
+// π(T)·r for the excluded fraction r.
 func (s *Solver) FracDomainsExcluded(T float64) (float64, error) {
+	if T < 0 {
+		return 0, errors.New("exact: negative time")
+	}
+	pi, _, err := s.walk(T)
+	if err != nil {
+		return 0, err
+	}
 	excluded := s.M.DomainsExcluded
 	n := float64(s.M.Params.NumDomains)
-	return s.C.TransientReward(T, func(st *san.State) float64 {
+	return s.C.Reward(pi, func(st *san.State) float64 {
 		return float64(st.Get(excluded)) / n
-	})
+	}), nil
 }

@@ -39,15 +39,15 @@ func benchITUAParams() core.Params {
 
 const benchITUAMaxStates = 1 << 23
 
-func buildITUABench(b *testing.B) (*core.Model, Canonicalizer) {
-	b.Helper()
+func buildITUABench(tb testing.TB) (*core.Model, Canonicalizer) {
+	tb.Helper()
 	m, err := core.Build(benchITUAParams())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	canon := core.NewCanonicalizer(m)
 	if canon == nil {
-		b.Fatal("benchmark topology must admit a canonicalizer")
+		tb.Fatal("benchmark topology must admit a canonicalizer")
 	}
 	return m, canon
 }
@@ -107,3 +107,28 @@ func benchITUASolve(b *testing.B, lump bool) {
 
 func BenchmarkMCITUASolveFull(b *testing.B)   { benchITUASolve(b, false) }
 func BenchmarkMCITUASolveLumped(b *testing.B) { benchITUASolve(b, true) }
+
+// BenchmarkUniStep is the uniformization kernel alone: one step of the
+// uniformized DTMC on the bench4x1 quotient (39,062 states), at the
+// default worker count. It reports the step time and the time per
+// transition, the matvec's unit of work.
+func BenchmarkUniStep(b *testing.B) {
+	m, canon := buildITUABench(b)
+	c, err := Generate(m.SAN, Options{Canon: canon})
+	if err != nil {
+		b.Fatal(err)
+	}
+	op, _ := c.uniOperator(nil)
+	defer op.stop()
+	v := c.InitialDistribution()
+	out := make([]float64, len(v))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op.apply(v, out)
+		v, out = out, v
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns, "ns/step")
+	b.ReportMetric(ns/float64(c.NumTransitions()), "ns/transition")
+}

@@ -96,6 +96,21 @@ func TestTransientLargeHorizonMatchesStationary(t *testing.T) {
 	if math.Abs(got-mean) > 1e-8 {
 		t.Fatalf("transient mean at large t = %v, stationary closed form %v", got, mean)
 	}
+
+	// The occupancy walk exits at steady state too; the tail weights it
+	// skips are added in closed form, so the occupancies still sum to the
+	// horizon.
+	_, occ, err := c.TransientOccupancy(5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, o := range occ {
+		sum += o
+	}
+	if math.Abs(sum-5000) > 1e-12*5000 {
+		t.Fatalf("Σ occ at t=5000 = %.17g, want the horizon", sum)
+	}
 }
 
 // TestPoissonTruncationError: when Λt is so large that the Poisson

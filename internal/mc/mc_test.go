@@ -108,6 +108,7 @@ func TestTransientTwoState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := lambda + mu
+	upR := c.RewardVector(func(st *san.State) float64 { return float64(st.Get(up)) })
 	for _, tt := range []float64{0, 0.1, 0.5, 1, 3, 10} {
 		want := mu/s + lambda/s*math.Exp(-s*tt) // P(up at tt)
 		got, err := c.TransientReward(tt, func(st *san.State) float64 { return float64(st.Get(up)) })
@@ -116,6 +117,30 @@ func TestTransientTwoState(t *testing.T) {
 		}
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("P(up at %v) = %v, analytic %v", tt, got, want)
+		}
+
+		// The occupancy walk: π is Transient's distribution bit for bit,
+		// the occupancies sum to the horizon, and the up-occupancy is
+		// ∫₀ᵗ P(up at u) du = μt/s + (λ/s²)(1 − e^{−st}).
+		pi, occ, err := c.TransientOccupancy(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, err := c.Transient(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range dist {
+			if math.Float64bits(pi[i]) != math.Float64bits(dist[i]) {
+				t.Fatalf("t=%v: occupancy walk π[%d] = %v, Transient %v (not bit-identical)", tt, i, pi[i], dist[i])
+			}
+		}
+		if sum := dot(occ, []float64{1, 1}); math.Abs(sum-tt) > 1e-12 {
+			t.Fatalf("t=%v: Σ occ = %.17g, want the horizon", tt, sum)
+		}
+		wantOcc := mu*tt/s + lambda/(s*s)*(1-math.Exp(-s*tt))
+		if gotOcc := dot(occ, upR); math.Abs(gotOcc-wantOcc) > 1e-9 {
+			t.Fatalf("t=%v: up-occupancy %v, analytic %v", tt, gotOcc, wantOcc)
 		}
 	}
 }

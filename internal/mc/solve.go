@@ -210,11 +210,22 @@ func (s *uniStep) apply(v, out []float64) {
 	s.jobWG.Wait()
 }
 
+// applyRange computes rows [lo, hi) of out. The operator's slices are
+// hoisted into locals and each row's columns and probabilities are
+// subsliced to a common length, so the inner loop reloads no struct field
+// and bounds-checks only the gather v[c]. The per-row summation order —
+// one accumulator, stay term first, then the incoming transitions in
+// order, each product rounded before the add — is what makes results
+// bit-identical across versions and worker counts; keep it.
 func (s *uniStep) applyRange(v, out []float64, lo, hi int) {
+	stay, rowPtr, cols, prob := s.stay, s.tRowPtr, s.tCols, s.tProb
 	for i := lo; i < hi; i++ {
-		acc := s.stay[i] * v[i]
-		for k := s.tRowPtr[i]; k < s.tRowPtr[i+1]; k++ {
-			acc += s.tProb[k] * v[s.tCols[k]]
+		rc := cols[rowPtr[i]:rowPtr[i+1]]
+		rp := prob[rowPtr[i]:rowPtr[i+1]]
+		rp = rp[:len(rc)]
+		acc := stay[i] * v[i]
+		for k, c := range rc {
+			acc += rp[k] * v[c]
 		}
 		out[i] = acc
 	}
@@ -274,44 +285,75 @@ const (
 	ssCheckEvery = 4
 )
 
-// transientDist runs the uniformization sum Σ_k P(N(Λt)=k)·v_k under the
-// given step operator.
-func transientDist(op *uniStep, v []float64, lambda, t, eps float64) ([]float64, error) {
-	w, err := newPoissonWindow(lambda*t, eps)
-	if err != nil {
-		return nil, err
+// uniformize is the one uniformization walk: it steps the uniformized DTMC
+// from the initial distribution — with the states marked in bad absorbing,
+// when bad is non-nil — and returns the distribution at time t,
+//
+//	π(t) = Σ_k P(N=k)·v_k,  N ~ Poisson(Λt), v_k = v_0·P^k,
+//
+// and, when occupancy is set, the expected time spent in each state over
+// [0, t],
+//
+//	occ(t) = (1/Λ)·Σ_k P(N>k)·v_k = ∫₀ᵗ π(u) du,
+//
+// so one pass yields both instantaneous and accumulated rewards. The walk
+// detects steady state: once successive iterates agree to ssTol, every
+// remaining step contributes the current vector, with the remaining
+// Poisson mass 1 − Σ P(N=k) to π and the remaining tail weights, which sum
+// in closed form to E[N] − Σ seen = Λt − Σ seen, to occ. The same closed
+// form places the tail weight that the window's right truncation drops.
+func (c *CTMC) uniformize(t float64, bad []bool, occupancy bool) (pi, occ []float64, err error) {
+	v := c.InitialDistribution()
+	if occupancy {
+		occ = make([]float64, c.n)
 	}
-	out := make([]float64, len(v))
-	next := make([]float64, len(v))
-	cum := 0.0
+	if t == 0 || c.n == 0 {
+		return v, occ, nil
+	}
+	op, lambda := c.uniOperator(bad)
+	defer op.stop()
+	w, err := newPoissonWindow(lambda*t, 1e-12)
+	if err != nil {
+		return nil, nil, err
+	}
+	pi = make([]float64, c.n)
+	next := make([]float64, c.n)
+	cum := 0.0     // Σ over seen steps of P(N = k)
+	tailSum := 0.0 // Σ over seen steps of P(N > k)
 	for k := 0; ; k++ {
 		if pk := w.prob(k); pk > 0 {
-			for i := range v {
-				out[i] += pk * v[i]
-			}
+			axpy(pi, pk, v)
 			cum += pk
 		}
+		if occ != nil {
+			tail := max(1-cum, 0)
+			axpy(occ, tail, v)
+			tailSum += tail
+		}
 		if k >= w.last() {
-			return out, nil
+			break
 		}
 		op.apply(v, next)
-		if k >= ssCheckFrom && k%ssCheckEvery == 0 {
-			diff := 0.0
-			for i := range v {
-				if d := math.Abs(next[i] - v[i]); d > diff {
-					diff = d
-				}
-			}
-			if diff <= ssTol {
-				rem := 1 - cum
-				for i := range out {
-					out[i] += rem * next[i]
-				}
-				return out, nil
-			}
+		if k >= ssCheckFrom && k%ssCheckEvery == 0 && maxAbsDiff(next, v) <= ssTol {
+			axpy(pi, 1-cum, next)
+			v = next
+			break
 		}
 		v, next = next, v
 	}
+	if occ != nil {
+		// The tail weights of the steps not walked sum to Λt − Σ seen. After
+		// a steady-state exit they all carry the current vector; at the
+		// window's end they are the truncated mass, within eps, and go to
+		// the last vector — so Σ occ = t either way.
+		if rem := lambda*t - tailSum; rem > 0 {
+			axpy(occ, rem, v)
+		}
+		for i := range occ {
+			occ[i] /= lambda
+		}
+	}
+	return pi, occ, nil
 }
 
 // Transient returns the state distribution at time t, starting from the
@@ -321,17 +363,27 @@ func (c *CTMC) Transient(t float64) ([]float64, error) {
 	if t < 0 {
 		return nil, errors.New("mc: negative time")
 	}
-	v := c.InitialDistribution()
-	if t == 0 || c.n == 0 {
-		return v, nil
-	}
-	op, lambda := c.uniOperator(nil)
-	defer op.stop()
-	out, err := transientDist(op, v, lambda, t, 1e-12)
+	pi, _, err := c.uniformize(t, nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("mc: transient at t=%v: %w", t, err)
 	}
-	return out, nil
+	return pi, nil
+}
+
+// TransientOccupancy returns, from one uniformization walk, the state
+// distribution π at time t and the occupancy vector occ, whose entry i is
+// the expected time spent in state i over [0, t] (so Σ occ = t). E[f(X_t)]
+// is π·r and (1/t)·E[∫₀ᵗ f(X_u) du] is occ·r/t for the reward vector r of
+// f, so a caller that needs both pays for one walk.
+func (c *CTMC) TransientOccupancy(t float64) (pi, occ []float64, err error) {
+	if t < 0 {
+		return nil, nil, errors.New("mc: negative time")
+	}
+	pi, occ, err = c.uniformize(t, nil, true)
+	if err != nil {
+		return nil, nil, fmt.Errorf("mc: transient occupancy at t=%v: %w", t, err)
+	}
+	return pi, occ, nil
 }
 
 // TransientReward returns E[f(X_t)].
@@ -340,63 +392,26 @@ func (c *CTMC) TransientReward(t float64, f func(*san.State) float64) (float64, 
 	if err != nil {
 		return 0, err
 	}
-	return dot(p, c.RewardVector(f)), nil
+	return c.Reward(p, f), nil
 }
 
-// IntervalAverageReward returns (1/T) E[∫₀ᵀ f(X_u) du] using the
-// uniformization formula for accumulated rewards:
-// E[∫₀ᵀ r du] = (1/Λ) Σ_k (vₖ·r) P(N(ΛT) > k).
-//
-// Like transientDist, the loop detects steady state: once successive
-// uniformized iterates agree to ssTol, every remaining step contributes
-// the same reward, and the remaining tail weights sum in closed form to
-// E[N] − Σ seen = ΛT − Σ seen — so the (possibly ΛT-step) iteration
-// exits early with the exact remainder instead of stepping through it.
+// Reward returns Σᵢ v[i]·f(state i), summed in state order: E[f] under a
+// distribution v, or the reward f accumulates over an occupancy vector v.
+func (c *CTMC) Reward(v []float64, f func(*san.State) float64) float64 {
+	return dot(v, c.RewardVector(f))
+}
+
+// IntervalAverageReward returns (1/T) E[∫₀ᵀ f(X_u) du] = occ(T)·r / T, with
+// the occupancy vector of TransientOccupancy.
 func (c *CTMC) IntervalAverageReward(t float64, f func(*san.State) float64) (float64, error) {
 	if t <= 0 {
 		return 0, errors.New("mc: non-positive interval")
 	}
-	r := c.RewardVector(f)
-	v := c.InitialDistribution()
-	op, lambda := c.uniOperator(nil)
-	defer op.stop()
-	w, err := newPoissonWindow(lambda*t, 1e-12)
+	_, occ, err := c.uniformize(t, nil, true)
 	if err != nil {
 		return 0, fmt.Errorf("mc: interval reward over [0,%v]: %w", t, err)
 	}
-	next := make([]float64, len(v))
-	acc := 0.0
-	cum := 0.0
-	tailSum := 0.0 // Σ over seen steps of P(N > k)
-	for k := 0; k <= w.last(); k++ {
-		cum += w.prob(k)
-		tail := 1 - cum
-		if tail < 0 {
-			tail = 0
-		}
-		acc += dot(v, r) * tail
-		tailSum += tail
-		if tail == 0 {
-			break
-		}
-		op.apply(v, next)
-		if k >= ssCheckFrom && k%ssCheckEvery == 0 {
-			diff := 0.0
-			for i := range v {
-				if d := math.Abs(next[i] - v[i]); d > diff {
-					diff = d
-				}
-			}
-			if diff <= ssTol {
-				if rem := lambda*t - tailSum; rem > 0 {
-					acc += dot(next, r) * rem
-				}
-				return acc / lambda / t, nil
-			}
-		}
-		v, next = next, v
-	}
-	return acc / lambda / t, nil
+	return c.Reward(occ, f) / t, nil
 }
 
 // SteadyState returns the stationary distribution by power iteration on the
@@ -451,15 +466,9 @@ func (c *CTMC) FirstPassageProb(t float64, pred func(*san.State) bool) (float64,
 		scratch.ResetDirty()
 		bad[i] = pred(scratch)
 	}
-	v := c.InitialDistribution()
-	if t > 0 {
-		op, lambda := c.uniOperator(bad)
-		out, err := transientDist(op, v, lambda, t, 1e-12)
-		op.stop()
-		if err != nil {
-			return 0, fmt.Errorf("mc: first passage by t=%v: %w", t, err)
-		}
-		v = out
+	v, _, err := c.uniformize(t, bad, false)
+	if err != nil {
+		return 0, fmt.Errorf("mc: first passage by t=%v: %w", t, err)
 	}
 	p := 0.0
 	for i := range v {
@@ -468,6 +477,25 @@ func (c *CTMC) FirstPassageProb(t float64, pred func(*san.State) bool) (float64,
 		}
 	}
 	return p, nil
+}
+
+// axpy adds a·x to y.
+func axpy(y []float64, a float64, x []float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		y[i] += a * xi
+	}
+}
+
+// maxAbsDiff is the max-norm distance between a and b.
+func maxAbsDiff(a, b []float64) float64 {
+	diff := 0.0
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > diff {
+			diff = d
+		}
+	}
+	return diff
 }
 
 func dot(a, b []float64) float64 {
