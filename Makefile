@@ -102,13 +102,14 @@ bench-mc:
 		$(GO) run ./cmd/benchjson -o BENCH_PR9.json -baseline BENCH_PR9_baseline.json
 
 # perf-smoke is the fast CI lane: one iteration of the engine hot-path
-# benchmarks, one full figure panel and one uniformization step on the
-# bench4x1 quotient, enough to catch a build break or a gross allocation
-# regression without the cost of the full suite.
+# benchmarks, one full figure panel, and one step each of the unabsorbed
+# and the absorbing uniformization walk on the bench4x1 quotient, enough
+# to catch a build break or a gross allocation regression without the
+# cost of the full suite.
 perf-smoke:
 	$(GO) test -bench 'BenchmarkEngine(Step|Replication)' -benchtime 1x -benchmem -run=^$$ ./internal/sim
 	$(GO) test -bench 'BenchmarkFig3aUnavailability' -benchtime 1x -benchmem -run=^$$ .
-	$(GO) test -bench 'BenchmarkUniStep' -benchtime 1x -benchmem -run=^$$ ./internal/mc
+	$(GO) test -bench 'Benchmark(UniStep|FirstPassage)$$' -benchtime 1x -benchmem -run=^$$ ./internal/mc
 
 # bench-build type-checks the benchmark module (perfbench/, a module of its
 # own that the root `go test ./...` never builds), so an API change in the

@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 
 	"ituaval/internal/san"
@@ -193,11 +193,9 @@ func (c *Canonicalizer) Canonicalize(m []san.Marking) {
 	for g := range s.hostOrd {
 		s.hostOrd[g] = int32(g)
 	}
+	byHostSig := func(a, b int32) int { return bytes.Compare(hostSig(a), hostSig(b)) }
 	for d := 0; d < c.d; d++ {
-		blk := s.hostOrd[d*c.h : (d+1)*c.h]
-		sort.Slice(blk, func(i, j int) bool {
-			return bytes.Compare(hostSig(blk[i]), hostSig(blk[j])) < 0
-		})
+		slices.SortFunc(s.hostOrd[d*c.h:(d+1)*c.h], byHostSig)
 	}
 
 	// Domain signatures: domain-local values, partition membership, then
@@ -226,9 +224,7 @@ func (c *Canonicalizer) Canonicalize(m []san.Marking) {
 	for d := range s.domOrd {
 		s.domOrd[d] = int32(d)
 	}
-	sort.Slice(s.domOrd, func(i, j int) bool {
-		return bytes.Compare(domSig(s.domOrd[i]), domSig(s.domOrd[j])) < 0
-	})
+	slices.SortFunc(s.domOrd, func(a, b int32) int { return bytes.Compare(domSig(a), domSig(b)) })
 
 	// Compose the permutation: domain dOld moves to position dNew, and its
 	// h-th smallest host moves to slot h of the new block.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -177,6 +178,31 @@ func TestCanonicalizeLumpsChain(t *testing.T) {
 	}
 	t.Logf("2x2: full %d states, lumped %d (%.1fx reduction)",
 		full.NumStates(), lumped.NumStates(), float64(full.NumStates())/float64(lumped.NumStates()))
+}
+
+// TestCanonicalizeAllocs is the deterministic allocation gate of the
+// canonicalizer: once its pooled scratch is warm, canonicalizing a
+// reachable marking allocates nothing. The trimmed 4x2 topology has two
+// hosts per domain, so the within-domain host sort runs as well as the
+// domain sort. The collector is paused so that it cannot empty the pool
+// mid-measurement.
+func TestCanonicalizeAllocs(t *testing.T) {
+	p := canonParams(4, 2, 1, 2)
+	canonTrim(&p)
+	m := mustBuild(t, p)
+	canon := NewCanonicalizer(m)
+	c := fullChain(t, m, 1<<19)
+	buf := make([]san.Marking, len(c.StateMarking(0)))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(20, func() {
+		for id := 0; id < c.NumStates(); id++ {
+			copy(buf, c.StateMarking(id))
+			canon.Canonicalize(buf)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("canonicalizing %d markings: %v allocations per pass, want 0", c.NumStates(), allocs)
+	}
 }
 
 func markingsEqual(a, b []san.Marking) bool {

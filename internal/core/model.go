@@ -475,9 +475,7 @@ func Build(p Params) (*Model, error) {
 		}
 		domPerm := make([]int, D)
 		for a := 0; a < A; a++ {
-			ctx.Permute(domPerm)
-			for i := 0; i < k; i++ {
-				d := domPerm[i]
+			for i, d := range ctx.Sample(domPerm, k) {
 				g := chooseHost(ctx, d)
 				st.Set(m.OnHost[a][i], san.Marking(g+1))
 				st.Set(m.HasReplica[a][d], 1)

@@ -132,3 +132,39 @@ func BenchmarkUniStep(b *testing.B) {
 	b.ReportMetric(ns, "ns/step")
 	b.ReportMetric(ns/float64(c.NumTransitions()), "ns/transition")
 }
+
+// absorbedSink keeps BenchmarkFirstPassage's increments live.
+var absorbedSink float64
+
+// BenchmarkFirstPassage is one step of FirstPassageProb's absorbing walk on
+// the bench4x1 quotient with application 0's Byzantine states absorbing:
+// the survivor operator's matvec plus the absorbed-mass increment, at the
+// default worker count. It reports the step time and the operator's size,
+// the surviving states and the transitions between them.
+func BenchmarkFirstPassage(b *testing.B) {
+	m, canon := buildITUABench(b)
+	c, err := Generate(m.SAN, Options{Canon: canon})
+	if err != nil {
+		b.Fatal(err)
+	}
+	op, _ := c.uniOperator(c.statesWhere(m.Byzantine(0)))
+	defer op.stop()
+	init := c.InitialDistribution()
+	v := make([]float64, op.n)
+	for j, i := range op.keep {
+		v[j] = init[i]
+	}
+	out := make([]float64, op.n)
+	absorbed := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op.apply(v, out)
+		absorbed += dot(v, op.toBad)
+		v, out = out, v
+	}
+	absorbedSink = absorbed
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
+	b.ReportMetric(float64(op.n), "surviving_states")
+	b.ReportMetric(float64(len(op.tCols)), "surviving_transitions")
+}

@@ -10,7 +10,7 @@
 // initialization hook may draw from ctx.Rand directly (the generator
 // passes a nil random stream). Effects that need randomness through the
 // enumerable choice methods (san.Context.Choose / ChooseWeighted /
-// Permute) remain solvable: every alternative becomes a probabilistic
+// Sample) remain solvable: every alternative becomes a probabilistic
 // branch. Instantaneous races and cases are likewise enumerated, not
 // sampled.
 //
@@ -190,7 +190,7 @@ type generator struct {
 	failed  error
 	done    bool
 
-	total int // interned states, guarded by mu? no — see intern
+	total int // interned states, guarded by mu
 }
 
 // intern returns the provisional id for key (hash-sharded), interning the

@@ -143,6 +143,13 @@ type uniStep struct {
 	tProb   []float64
 	workers int
 
+	// An absorbing operator steps only the surviving (non-absorbing)
+	// states: operator state i is the chain's state keep[i], and toBad[i]
+	// is the probability that one step moves state i's mass into the
+	// absorbing states. Both are nil when no state absorbs.
+	keep  []int32
+	toBad []float64
+
 	// blocks is the row partition: block b covers rows
 	// [blocks[b], blocks[b+1]). Nil when the chain is solved sequentially.
 	blocks []int32
@@ -233,9 +240,9 @@ func (s *uniStep) applyRange(v, out []float64, lo, hi int) {
 
 // uniOperator builds the uniformized step operator. Λ is 1.02× the largest
 // exit rate (strictly above every exit rate, so each state keeps a
-// self-loop and the DTMC is aperiodic). When bad is non-nil, states marked
-// bad absorb: their mass stays put and their outgoing probabilities are
-// zeroed, and Λ is taken over the non-bad states only.
+// self-loop and the DTMC is aperiodic). When bad is non-nil, the states it
+// marks absorb: Λ is taken over the other states only, and the operator
+// is restricted to those survivors (see survivorOperator).
 func (c *CTMC) uniOperator(bad []bool) (*uniStep, float64) {
 	lambda := 0.0
 	for i, e := range c.exit {
@@ -247,32 +254,92 @@ func (c *CTMC) uniOperator(bad []bool) (*uniStep, float64) {
 	if lambda == 0 {
 		lambda = 1 // absorbing-only chain: identity steps
 	}
-	s := &uniStep{
-		n:       c.n,
-		stay:    make([]float64, c.n),
-		tRowPtr: c.tRowPtr,
-		tCols:   c.tCols,
-		tProb:   make([]float64, len(c.tRates)),
-		workers: c.workers,
-	}
-	for i := 0; i < c.n; i++ {
-		if bad != nil && bad[i] {
-			s.stay[i] = 1
-		} else {
+	var s *uniStep
+	if bad != nil {
+		s = c.survivorOperator(bad, lambda)
+	} else {
+		s = &uniStep{
+			n:       c.n,
+			stay:    make([]float64, c.n),
+			tRowPtr: c.tRowPtr,
+			tCols:   c.tCols,
+			tProb:   make([]float64, len(c.tRates)),
+		}
+		for i := 0; i < c.n; i++ {
 			s.stay[i] = 1 - c.exit[i]/lambda
 		}
-	}
-	for k := range c.tRates {
-		if src := c.tCols[k]; bad != nil && bad[src] {
-			s.tProb[k] = 0
-		} else {
+		for k := range c.tRates {
 			s.tProb[k] = c.tRates[k] / lambda
 		}
 	}
+	s.workers = c.workers
 	if s.workers > 1 && s.n+len(s.tCols) >= parallelSolveMin {
 		s.makeBlocks(s.workers)
 	}
 	return s, lambda
+}
+
+// survivorOperator is the absorbing step operator over the states bad
+// does not mark, renumbered in ascending order: the transposed CSR keeps
+// only transitions between survivors, sources still ascending. Absorbed
+// mass never leaves, so the transitions out of absorbing states carried
+// probability 0 in the full operator, and the transitions into them only
+// feed the absorbed mass, which toBad carries as one scalar per survivor.
+// Every surviving row therefore sums the same nonzero products in the
+// same order as the full absorbing operator did (the dropped terms were
+// exact +0 products), so the surviving entries of the walk are bit-
+// identical to stepping the whole chain.
+func (c *CTMC) survivorOperator(bad []bool, lambda float64) *uniStep {
+	// idx maps a chain state to its operator state, -1 when absorbing.
+	idx := make([]int32, c.n)
+	m, nnz := 0, 0
+	for i := 0; i < c.n; i++ {
+		if bad[i] {
+			idx[i] = -1
+			continue
+		}
+		idx[i] = int32(m)
+		m++
+		for _, src := range c.tCols[c.tRowPtr[i]:c.tRowPtr[i+1]] {
+			if !bad[src] {
+				nnz++
+			}
+		}
+	}
+	s := &uniStep{
+		n:       m,
+		stay:    make([]float64, m),
+		tRowPtr: make([]int32, m+1),
+		tCols:   make([]int32, nnz),
+		tProb:   make([]float64, nnz),
+		keep:    make([]int32, m),
+		toBad:   make([]float64, m),
+	}
+	k := 0
+	for i := 0; i < c.n; i++ {
+		j := idx[i]
+		if j < 0 {
+			continue
+		}
+		s.keep[j] = int32(i)
+		s.stay[j] = 1 - c.exit[i]/lambda
+		for e := c.tRowPtr[i]; e < c.tRowPtr[i+1]; e++ {
+			if src := idx[c.tCols[e]]; src >= 0 {
+				s.tCols[k] = src
+				s.tProb[k] = c.tRates[e] / lambda
+				k++
+			}
+		}
+		s.tRowPtr[j+1] = int32(k)
+		out := 0.0
+		for e := c.rowPtr[i]; e < c.rowPtr[i+1]; e++ {
+			if bad[c.cols[e]] {
+				out += c.rates[e]
+			}
+		}
+		s.toBad[j] = out / lambda
+	}
+	return s
 }
 
 // Steady-state detection inside the transient loop: once successive
@@ -286,8 +353,7 @@ const (
 )
 
 // uniformize is the one uniformization walk: it steps the uniformized DTMC
-// from the initial distribution — with the states marked in bad absorbing,
-// when bad is non-nil — and returns the distribution at time t,
+// from the initial distribution and returns the distribution at time t,
 //
 //	π(t) = Σ_k P(N=k)·v_k,  N ~ Poisson(Λt), v_k = v_0·P^k,
 //
@@ -302,27 +368,63 @@ const (
 // Poisson mass 1 − Σ P(N=k) to π and the remaining tail weights, which sum
 // in closed form to E[N] − Σ seen = Λt − Σ seen, to occ. The same closed
 // form places the tail weight that the window's right truncation drops.
-func (c *CTMC) uniformize(t float64, bad []bool, occupancy bool) (pi, occ []float64, err error) {
+//
+// When bad is non-nil, the states it marks absorb and the walk returns
+// only absorbed, the probability of having been absorbed by t, with pi
+// and occ nil. It then steps only the surviving states and carries the
+// absorbed mass as one scalar, A_{k+1} = A_k + v_k·toBad, A_0 being the
+// initial mass on absorbing states, and absorbed = Σ_k P(N=k)·A_k. Its
+// steady-state exit also requires the step's absorbed increment to be
+// within ssTol, which is never looser than comparing every absorbing
+// state's entry.
+func (c *CTMC) uniformize(t float64, bad []bool, occupancy bool) (pi, occ []float64, absorbed float64, err error) {
 	v := c.InitialDistribution()
-	if occupancy {
+	absorbing := bad != nil
+	a := 0.0 // A_k, the absorbed mass after k steps
+	if absorbing {
+		for i, b := range bad {
+			if b {
+				a += v[i]
+			}
+		}
+	} else if occupancy {
 		occ = make([]float64, c.n)
 	}
 	if t == 0 || c.n == 0 {
-		return v, occ, nil
+		if absorbing {
+			return nil, nil, a, nil
+		}
+		return v, occ, 0, nil
 	}
 	op, lambda := c.uniOperator(bad)
 	defer op.stop()
+	if absorbing {
+		if op.n == 0 {
+			return nil, nil, a, nil // every state absorbs: no mass moves
+		}
+		surv := make([]float64, op.n)
+		for j, i := range op.keep {
+			surv[j] = v[i]
+		}
+		v = surv
+	}
 	w, err := newPoissonWindow(lambda*t, 1e-12)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	pi = make([]float64, c.n)
-	next := make([]float64, c.n)
+	if !absorbing {
+		pi = make([]float64, c.n)
+	}
+	next := make([]float64, len(v))
 	cum := 0.0     // Σ over seen steps of P(N = k)
 	tailSum := 0.0 // Σ over seen steps of P(N > k)
 	for k := 0; ; k++ {
 		if pk := w.prob(k); pk > 0 {
-			axpy(pi, pk, v)
+			if absorbing {
+				absorbed += pk * a
+			} else {
+				axpy(pi, pk, v)
+			}
 			cum += pk
 		}
 		if occ != nil {
@@ -334,8 +436,17 @@ func (c *CTMC) uniformize(t float64, bad []bool, occupancy bool) (pi, occ []floa
 			break
 		}
 		op.apply(v, next)
-		if k >= ssCheckFrom && k%ssCheckEvery == 0 && maxAbsDiff(next, v) <= ssTol {
-			axpy(pi, 1-cum, next)
+		inc := 0.0
+		if absorbing {
+			inc = dot(v, op.toBad)
+			a += inc
+		}
+		if k >= ssCheckFrom && k%ssCheckEvery == 0 && inc <= ssTol && maxAbsDiff(next, v) <= ssTol {
+			if absorbing {
+				absorbed += (1 - cum) * a
+			} else {
+				axpy(pi, 1-cum, next)
+			}
 			v = next
 			break
 		}
@@ -353,7 +464,7 @@ func (c *CTMC) uniformize(t float64, bad []bool, occupancy bool) (pi, occ []floa
 			occ[i] /= lambda
 		}
 	}
-	return pi, occ, nil
+	return pi, occ, absorbed, nil
 }
 
 // Transient returns the state distribution at time t, starting from the
@@ -363,7 +474,7 @@ func (c *CTMC) Transient(t float64) ([]float64, error) {
 	if t < 0 {
 		return nil, errors.New("mc: negative time")
 	}
-	pi, _, err := c.uniformize(t, nil, false)
+	pi, _, _, err := c.uniformize(t, nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("mc: transient at t=%v: %w", t, err)
 	}
@@ -379,7 +490,7 @@ func (c *CTMC) TransientOccupancy(t float64) (pi, occ []float64, err error) {
 	if t < 0 {
 		return nil, nil, errors.New("mc: negative time")
 	}
-	pi, occ, err = c.uniformize(t, nil, true)
+	pi, occ, _, err = c.uniformize(t, nil, true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("mc: transient occupancy at t=%v: %w", t, err)
 	}
@@ -407,7 +518,7 @@ func (c *CTMC) IntervalAverageReward(t float64, f func(*san.State) float64) (flo
 	if t <= 0 {
 		return 0, errors.New("mc: non-positive interval")
 	}
-	_, occ, err := c.uniformize(t, nil, true)
+	_, occ, _, err := c.uniformize(t, nil, true)
 	if err != nil {
 		return 0, fmt.Errorf("mc: interval reward over [0,%v]: %w", t, err)
 	}
@@ -453,30 +564,30 @@ func (c *CTMC) SteadyStateReward(f func(*san.State) float64, tol float64, maxIte
 }
 
 // FirstPassageProb returns P(pred(X_u) for some u <= t): states satisfying
-// pred are made absorbing and their transient mass at t is summed. States
-// already satisfying pred at time 0 count as absorbed.
+// pred are made absorbing and the mass they hold at t is the answer. The
+// walk steps only the other states (see uniformize). States already
+// satisfying pred at time 0 count as absorbed.
 func (c *CTMC) FirstPassageProb(t float64, pred func(*san.State) bool) (float64, error) {
 	if t < 0 {
 		return 0, errors.New("mc: negative time")
 	}
-	bad := make([]bool, c.n)
-	scratch := c.model.NewState()
-	for i := 0; i < c.n; i++ {
-		copy(scratch.Markings(), c.StateMarking(i))
-		scratch.ResetDirty()
-		bad[i] = pred(scratch)
-	}
-	v, _, err := c.uniformize(t, bad, false)
+	_, _, p, err := c.uniformize(t, c.statesWhere(pred), false)
 	if err != nil {
 		return 0, fmt.Errorf("mc: first passage by t=%v: %w", t, err)
 	}
-	p := 0.0
-	for i := range v {
-		if bad[i] {
-			p += v[i]
-		}
-	}
 	return p, nil
+}
+
+// statesWhere marks the states whose marking satisfies pred.
+func (c *CTMC) statesWhere(pred func(*san.State) bool) []bool {
+	marked := make([]bool, c.n)
+	scratch := c.model.NewState()
+	for i := range marked {
+		copy(scratch.Markings(), c.StateMarking(i))
+		scratch.ResetDirty()
+		marked[i] = pred(scratch)
+	}
+	return marked
 }
 
 // axpy adds a·x to y.

@@ -33,22 +33,31 @@ func (ctx *Context) ChooseWeighted(w []float64) int {
 	return ctx.Rand.Category(w)
 }
 
-// Permute fills p with a uniformly random permutation of 0..len(p)-1. In
-// simulation it is exactly ctx.Rand.Perm(p); under enumeration the
-// Fisher–Yates swaps become nested uniform choices, so each of the n!
-// permutations is a branch of probability 1/n!.
-func (ctx *Context) Permute(p []int) {
+// Sample fills p with a uniformly random permutation of 0..len(p)-1 and
+// returns its first k entries, a uniformly random ordered sample of k
+// distinct indices. In simulation it is exactly ctx.Rand.Perm(p), so the
+// draws and the stream position are those of a full permutation; under
+// enumeration only the ordered k-prefix branches — a forward partial
+// Fisher–Yates shuffle of k nested uniform choices — so there are
+// len(p)!/(len(p)−k)! branches, each of probability (len(p)−k)!/len(p)!,
+// instead of len(p)! for the whole permutation. The entries of p past k
+// are unspecified under enumeration. It panics unless 0 <= k <= len(p).
+func (ctx *Context) Sample(p []int, k int) []int {
+	if k < 0 || k > len(p) {
+		panic("san: Sample size out of range")
+	}
 	if ctx.enum == nil {
 		ctx.Rand.Perm(p)
-		return
+		return p[:k]
 	}
 	for i := range p {
 		p[i] = i
 	}
-	for i := len(p) - 1; i > 0; i-- {
-		j := ctx.enum.take(i+1, nil)
+	for i := 0; i < k; i++ {
+		j := i + ctx.enum.take(len(p)-i, nil)
 		p[i], p[j] = p[j], p[i]
 	}
+	return p[:k]
 }
 
 // choicePoint records one decision made while executing an effect under

@@ -150,7 +150,7 @@ type Context struct {
 	Now   float64
 
 	// enum, when non-nil, redirects the enumerable choice methods
-	// (Choose, ChooseWeighted, Permute) from sampling to exhaustive
+	// (Choose, ChooseWeighted, Sample) from sampling to exhaustive
 	// branching; it is set only by the analytic Resolver.
 	enum *enumChooser
 }

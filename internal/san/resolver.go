@@ -11,7 +11,7 @@ const maxEnumDepth = 64
 
 // Resolver enumerates every probabilistic resolution of an activity firing
 // down to stable markings: the tree spanned by the in-effect enumerable
-// choices (Context.Choose / ChooseWeighted / Permute) and by the races and
+// choices (Context.Choose / ChooseWeighted / Sample) and by the races and
 // cases of the instantaneous activities that fire afterwards. It is the
 // analytic-path counterpart of Stabilize and the engine under
 // EnumerateStable and mc.Generate.
